@@ -46,15 +46,26 @@ struct AosPacked {
   }
 };
 
+/// The inner integral's staging + row loops over every 16th field point, on
+/// staged source data laid out as SoA (stride 1) or AoS (stride 6).
 double run_inner_soa(const IPData& ip, const JacobianContext& ctx, int reps) {
+  const std::size_t n = ip.n;
+  std::vector<double> sums(3 * n);
   detail::InnerAccum acc;
   Stopwatch w;
-  for (int r = 0; r < reps; ++r)
-    for (std::size_t i = 0; i < ip.n; i += 16)
-      for (std::size_t j = 0; j < ip.n; ++j)
-        detail::inner_point(ip.r[i], ip.z[i], ip.r[j], ip.z[j], ip.w[j], &ip.f[j], &ip.dfr[j],
-                            &ip.dfz[j], ip.n, ip.n_species, ctx.q2.data(), ctx.q2_over_m.data(),
-                            &acc);
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const auto t = detail::species_sums(&ip.f[j], &ip.dfr[j], &ip.dfz[j], n, ip.n_species,
+                                          ctx.q2.data(), ctx.q2_over_m.data());
+      sums[j] = t.tk_r;
+      sums[n + j] = t.tk_z;
+      sums[2 * n + j] = t.td;
+    }
+    for (std::size_t i = 0; i < n; i += 16)
+      acc += detail::inner_row(ip.r[i], ip.z[i],
+                               {ip.r.data(), ip.z.data(), ip.w.data(), sums.data(),
+                                sums.data() + n, sums.data() + 2 * n, n, 1});
+  }
   volatile double sink = acc.gd00;
   (void)sink;
   return w.seconds();
@@ -62,17 +73,27 @@ double run_inner_soa(const IPData& ip, const JacobianContext& ctx, int reps) {
 
 double run_inner_aos(const AosPacked& aos, const IPData& ip, const JacobianContext& ctx,
                      int reps) {
-  detail::InnerAccum acc;
   const int ns = aos.ns;
+  std::vector<double> staged(aos.n * 6); // [n][r, z, w, tk_r, tk_z, td]
+  detail::InnerAccum acc;
   Stopwatch w;
-  for (int r = 0; r < reps; ++r)
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t j = 0; j < aos.n; ++j) {
+      const double* rec = aos.data.data() + j * aos.stride;
+      const auto t = detail::species_sums(rec + 3, rec + 3 + ns, rec + 3 + 2 * ns, 1, ns,
+                                          ctx.q2.data(), ctx.q2_over_m.data());
+      double* out = staged.data() + j * 6;
+      out[0] = rec[0];
+      out[1] = rec[1];
+      out[2] = rec[2];
+      out[3] = t.tk_r;
+      out[4] = t.tk_z;
+      out[5] = t.td;
+    }
+    const double* s = staged.data();
     for (std::size_t i = 0; i < aos.n; i += 16)
-      for (std::size_t j = 0; j < aos.n; ++j) {
-        const double* rec = aos.data.data() + j * aos.stride;
-        detail::inner_point(ip.r[i], ip.z[i], rec[0], rec[1], rec[2], rec + 3,
-                            rec + 3 + ns, rec + 3 + 2 * ns, 1, ns, ctx.q2.data(),
-                            ctx.q2_over_m.data(), &acc);
-      }
+      acc += detail::inner_row(ip.r[i], ip.z[i], {s, s + 1, s + 2, s + 3, s + 4, s + 5, aos.n, 6});
+  }
   volatile double sink = acc.gd00;
   (void)sink;
   return w.seconds();
@@ -181,7 +202,8 @@ int main(int argc, char** argv) {
 
   std::printf("%s", table.str().c_str());
   std::printf("\nNotes: on a GPU the SoA layout additionally enables coalescing (the paper's\n"
-              "motivation); on this scalar host the layouts are near parity. The band LU's\n"
+              "motivation); on this host both feed the same SIMD row loop (AoS as a stride-6\n"
+              "run) and stay within about 10%%. The band LU's\n"
               "advantage over dense grows with problem size (O(n b^2) vs O(n^3)).\n");
   return 0;
 }

@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the hot kernels: elliptic integrals,
-// the 2D Landau tensor, the inner-integral point kernel, banded LU, RCM,
+// the 2D Landau tensor, the inner-integral row loop, banded LU, RCM,
 // sparse matvec, and the full element kernel on each back-end.
 
 #include <benchmark/benchmark.h>
@@ -38,16 +38,46 @@ static void BM_LandauTensor2D(benchmark::State& state) {
 BENCHMARK(BM_LandauTensor2D);
 
 static void BM_InnerPoint(benchmark::State& state) {
+  // The inner integral as the kernels run it: stage the species sums of 512
+  // source points, then 16 field points' row loops over them (one Q3
+  // element's worth). Reports ns per (i, j) pair, staging included.
   const int ns = static_cast<int>(state.range(0));
-  std::vector<double> f(static_cast<std::size_t>(ns) * 8, 0.5), q2(static_cast<std::size_t>(ns), 1.0),
-      qm(static_cast<std::size_t>(ns), 0.1);
-  detail::InnerAccum acc;
+  constexpr std::size_t kPoints = 512;
+  constexpr std::size_t kRows = 16;
+  std::mt19937 rng(3);
+  std::uniform_real_distribution<double> ur(0.0, 4.0), uz(-4.0, 4.0), uf(0.1, 1.0);
+  std::vector<double> r(kPoints), z(kPoints), w(kPoints), sums(3 * kPoints);
+  std::vector<double> f(static_cast<std::size_t>(ns) * kPoints), dfr(f.size()), dfz(f.size());
+  std::vector<double> q2(static_cast<std::size_t>(ns), 1.0), qm(static_cast<std::size_t>(ns), 0.1);
+  for (std::size_t k = 0; k < kPoints; ++k) {
+    r[k] = ur(rng);
+    z[k] = uz(rng);
+    w[k] = 1e-3 * uf(rng);
+  }
+  for (std::size_t k = 0; k < f.size(); ++k) {
+    f[k] = uf(rng);
+    dfr[k] = -uf(rng);
+    dfz[k] = uf(rng) - 0.5;
+  }
   for (auto _ : state) {
-    detail::inner_point(1.0, 0.5, 0.7, -0.3, 0.01, f.data(), f.data(), f.data(), 8, ns,
-                        q2.data(), qm.data(), &acc);
+    for (std::size_t k = 0; k < kPoints; ++k) {
+      const auto t = detail::species_sums(&f[k], &dfr[k], &dfz[k], kPoints, ns, q2.data(),
+                                          qm.data());
+      sums[k] = t.tk_r;
+      sums[kPoints + k] = t.tk_z;
+      sums[2 * kPoints + k] = t.td;
+    }
+    detail::InnerAccum acc;
+    for (std::size_t i = 0; i < kRows; ++i)
+      acc += detail::inner_row(r[i], z[i],
+                               {r.data(), z.data(), w.data(), sums.data(),
+                                sums.data() + kPoints, sums.data() + 2 * kPoints, kPoints, 1});
     benchmark::DoNotOptimize(acc.gd00);
   }
-  state.SetItemsProcessed(state.iterations());
+  const double pairs = static_cast<double>(kRows * kPoints);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pairs));
+  state.counters["ns_per_pair"] = benchmark::Counter(
+      pairs, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_InnerPoint)->Arg(1)->Arg(2)->Arg(10);
 

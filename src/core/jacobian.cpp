@@ -1,5 +1,6 @@
 #include "core/jacobian.h"
 
+#include "core/kernel_math.h"
 #include "exec/annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -118,6 +119,39 @@ LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell
       }
     }
   }
+}
+
+std::vector<double> stage_species_sums(const JacobianContext& ctx,
+                                       exec::KernelCounters* counters) {
+  const auto& ip = *ctx.ip;
+  const std::size_t n = ip.n;
+  const auto ns = static_cast<std::size_t>(ctx.species->size());
+  obs::TraceSpan span("landau:species-sums", {{"points", n}});
+  namespace check = exec::check;
+  check::KernelScope chk("landau:species-sums", /*concurrent_blocks=*/false);
+  std::vector<double> sums(3 * n);
+  auto ref_f = chk.in(std::span<const double>(ip.f), "ip.f");
+  auto ref_dfr = chk.in(std::span<const double>(ip.dfr), "ip.dfr");
+  auto ref_dfz = chk.in(std::span<const double>(ip.dfz), "ip.dfz");
+  auto ref_out = chk.out(std::span<double>(sums), "species_sums", /*initialized=*/false);
+  check::ThreadCtx tc;
+  tc.session = chk.session();
+  check::checked_span<const double> gf(ref_f, &tc), gdfr(ref_dfr, &tc), gdfz(ref_dfz, &tc);
+  check::checked_span<double> gout(ref_out, &tc);
+  for (std::size_t k = 0; k < n; ++k) {
+    const SpeciesSums t =
+        species_sums(gf.read_strided(k, ns, n), gdfr.read_strided(k, ns, n),
+                     gdfz.read_strided(k, ns, n), n, ctx.species->size(), ctx.q2.data(),
+                     ctx.q2_over_m.data());
+    gout[k] = t.tk_r;
+    gout[n + k] = t.tk_z;
+    gout[2 * n + k] = t.td;
+  }
+  exec::CounterScope scope(counters);
+  scope.flops(static_cast<std::int64_t>(n) * species_sum_flops(ctx.species->size()));
+  scope.dram(static_cast<std::int64_t>(n * (3 * ns + 3)) * 8);
+  chk.finish();
+  return sums;
 }
 
 void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,

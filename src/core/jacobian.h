@@ -128,6 +128,13 @@ struct ElementMatrices {
   }
 };
 
+/// The species sums (tk_r, tk_z, td) of every packed integration point, as
+/// three consecutive arrays of ip.n: the once-per-call pre-pass of the cpu
+/// and kokkos-sim back-ends (cuda-sim stages them per tile instead). Reads
+/// ip.f/dfr/dfz through checked views under its own checker scope.
+std::vector<double> stage_species_sums(const JacobianContext& ctx,
+                                       exec::KernelCounters* counters);
+
 /// Scatter one cell's element matrices into the global block matrix. When the
 /// device checker is active, `chk` is the caller's checked view of the output
 /// value array (CSR values or the COO sink) bound to the executing block, and

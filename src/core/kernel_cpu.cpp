@@ -21,6 +21,9 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   const int ns = ctx.species->size();
   const std::size_t n = ip.n;
 
+  // Species sums once per call; the row loop below reads them per pair.
+  const std::vector<double> sums = stage_species_sums(ctx, counters);
+
   // Device-checker scope: the serial kernel is one "block" per cell with no
   // concurrency at all, so only bounds and initialization rules apply
   // (concurrent_blocks = false disables the inter-block race rule).
@@ -29,9 +32,7 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   auto ref_r = chk.in(std::span<const double>(ip.r), "ip.r");
   auto ref_z = chk.in(std::span<const double>(ip.z), "ip.z");
   auto ref_w = chk.in(std::span<const double>(ip.w), "ip.w");
-  auto ref_f = chk.in(std::span<const double>(ip.f), "ip.f");
-  auto ref_dfr = chk.in(std::span<const double>(ip.dfr), "ip.dfr");
-  auto ref_dfz = chk.in(std::span<const double>(ip.dfz), "ip.dfz");
+  auto ref_sums = chk.in(std::span<const double>(sums), "species_sums");
   // Not LANDAU_CROSS_BLOCK: this back-end runs cells serially
   // (concurrent_blocks=false above), so the assembly target is never
   // written concurrently and needs no atomics policy.
@@ -40,7 +41,7 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   check::ThreadCtx tc;
   tc.session = chk.session();
   check::checked_span<const double> gr(ref_r, &tc), gz(ref_z, &tc), gw(ref_w, &tc);
-  check::checked_span<const double> gf(ref_f, &tc), gdfr(ref_dfr, &tc), gdfz(ref_dfz, &tc);
+  check::checked_span<const double> gsums(ref_sums, &tc);
   check::checked_span<double> gout(ref_out, &tc);
 
   ElementMatrices ce;
@@ -54,15 +55,9 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
 
     for (int i = 0; i < nq; ++i) {
       const std::size_t gi = ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(i);
-      InnerAccum g;
-      for (std::size_t jj = 0; jj < n; ++jj)
-        inner_point(gr[gi], gz[gi], gr[jj], gz[jj], gw[jj],
-                    gf.read_strided(jj, static_cast<std::size_t>(ns), n),
-                    gdfr.read_strided(jj, static_cast<std::size_t>(ns), n),
-                    gdfz.read_strided(jj, static_cast<std::size_t>(ns), n), n, ns, ctx.q2.data(),
-                    ctx.q2_over_m.data(), &g);
-      scope.flops(static_cast<std::int64_t>(n) * inner_flops(ns));
-      scope.dram(static_cast<std::int64_t>(n) * (3 + 3 * ns) * 8);
+      const InnerAccum g = inner_row(gr[gi], gz[gi], source_run(gr, gz, gw, gsums, n, 0, n, 1));
+      scope.flops(static_cast<std::int64_t>(n) * kInnerPairFlops);
+      scope.dram(static_cast<std::int64_t>(n) * kStagedDoubles * 8);
       for (int a = 0; a < ns; ++a)
         coeffs[static_cast<std::size_t>(a * nq + i)] = transform_point(
             g, ctx.nu0, ctx.q2[static_cast<std::size_t>(a)],

@@ -6,7 +6,8 @@
 //  * block.x = reduction lanes for the inner integral (power of two,
 //    block.x * block.y <= 256, §III-E1),
 //  * the beta-terms of the inner integral are staged tile-by-tile into
-//    shared memory; partial integrals live in per-thread registers and are
+//    shared memory, species-summed once per source point as they load;
+//    partial integrals live in per-thread registers and are
 //    combined with a warp-shuffle butterfly; the element matrix is formed by
 //    all threads and assembled into the global CSR matrix with atomic adds.
 
@@ -25,7 +26,10 @@ int reduction_lanes(int nq) {
   return x;
 }
 
-constexpr int kTile = 128; // shared-memory staging tile (inner points)
+// Shared-memory staging tile (inner points): 6 staged doubles per point,
+// 24 KB in all. Each lane's row run holds kTile / lanes points per call (32
+// for Q3), long enough to amortize the row loop's set-up and reduction.
+constexpr int kTile = 512;
 
 } // namespace
 
@@ -82,49 +86,49 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         auto tile_r = blk.shared<double>(kTile, "tile_r");
         auto tile_z = blk.shared<double>(kTile, "tile_z");
         auto tile_w = blk.shared<double>(kTile, "tile_w");
-        auto tile_f = blk.shared<double>(static_cast<std::size_t>(ns) * kTile, "tile_f");
-        auto tile_dfr = blk.shared<double>(static_cast<std::size_t>(ns) * kTile, "tile_dfr");
-        auto tile_dfz = blk.shared<double>(static_cast<std::size_t>(ns) * kTile, "tile_dfz");
+        auto tile_sums = blk.shared<double>(3 * kTile, "tile_sums"); // tk_r, tk_z, td
         auto kkdd = blk.shared<PointCoeffs>(static_cast<std::size_t>(ns) * nq, "kkdd");
         auto ce = blk.shared<double>(static_cast<std::size_t>(ns) * nb * nb, "ce");
 
         // Inner integral over all global points, tile by tile (lines 3-11).
         for (std::size_t j0 = 0; j0 < n; j0 += kTile) {
           const int tn = static_cast<int>(std::min<std::size_t>(kTile, n - j0));
-          // Cooperative load: threads stride the tile (coalesced SoA reads).
+          // Cooperative load: threads stride the tile (coalesced SoA reads)
+          // and stage each point's species sums once for all field points.
           blk.threads([&](exec::ThreadIdx t) {
             for (int k = t.flat; k < tn; k += blk.num_threads()) {
-              const std::size_t gj = j0 + static_cast<std::size_t>(k);
-              tile_r[static_cast<std::size_t>(k)] = gr[gj];
-              tile_z[static_cast<std::size_t>(k)] = gz[gj];
-              tile_w[static_cast<std::size_t>(k)] = gw[gj];
-              for (int s = 0; s < ns; ++s) {
-                const std::size_t sg = static_cast<std::size_t>(s) * n + gj;
-                tile_f[static_cast<std::size_t>(s * kTile + k)] = gf[sg];
-                tile_dfr[static_cast<std::size_t>(s * kTile + k)] = gdfr[sg];
-                tile_dfz[static_cast<std::size_t>(s * kTile + k)] = gdfz[sg];
-              }
+              const auto sk = static_cast<std::size_t>(k);
+              const std::size_t gj = j0 + sk;
+              tile_r[sk] = gr[gj];
+              tile_z[sk] = gz[gj];
+              tile_w[sk] = gw[gj];
+              const SpeciesSums sums = species_sums(
+                  gf.read_strided(gj, static_cast<std::size_t>(ns), n),
+                  gdfr.read_strided(gj, static_cast<std::size_t>(ns), n),
+                  gdfz.read_strided(gj, static_cast<std::size_t>(ns), n), n, ns, ctx.q2.data(),
+                  ctx.q2_over_m.data());
+              tile_sums[sk] = sums.tk_r;
+              tile_sums[kTile + sk] = sums.tk_z;
+              tile_sums[2 * kTile + sk] = sums.td;
             }
           });
           blk.sync();
+          scope.flops(static_cast<std::int64_t>(tn) * species_sum_flops(ns));
           scope.dram(static_cast<std::int64_t>(tn) * (3 + 3 * ns) * 8);
-          // Each thread accumulates its lane's share of the tile.
+          // Each thread accumulates its lane's cyclic share of the tile.
           blk.threads([&](exec::ThreadIdx t) {
             const std::size_t gi =
                 ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
-            for (int k = t.x; k < tn; k += lanes) {
-              const auto sk = static_cast<std::size_t>(k);
-              inner_point(gr[gi], gz[gi], tile_r[sk], tile_z[sk], tile_w[sk],
-                          tile_f.read_strided(sk, static_cast<std::size_t>(ns), kTile),
-                          tile_dfr.read_strided(sk, static_cast<std::size_t>(ns), kTile),
-                          tile_dfz.read_strided(sk, static_cast<std::size_t>(ns), kTile), kTile, ns,
-                          ctx.q2.data(), ctx.q2_over_m.data(),
-                          regs.rw_ptr(static_cast<std::size_t>(t.flat)));
-            }
+            const auto x = static_cast<std::size_t>(t.x);
+            const auto sl = static_cast<std::size_t>(lanes);
+            const std::size_t count = cyclic_count(x, static_cast<std::size_t>(tn), sl);
+            regs[static_cast<std::size_t>(t.flat)] +=
+                inner_row(gr[gi], gz[gi],
+                          source_run(tile_r, tile_z, tile_w, tile_sums, kTile, x, count, sl));
           });
           blk.sync();
-          scope.flops(static_cast<std::int64_t>(tn) * nq * inner_flops(ns));
-          scope.shared(static_cast<std::int64_t>(tn) * nq * (3 + 3 * ns) * 8);
+          scope.flops(static_cast<std::int64_t>(tn) * nq * kInnerPairFlops);
+          scope.shared(static_cast<std::int64_t>(tn) * nq * kStagedDoubles * 8);
         }
 
         // Warp-shuffle reduction across the x-lanes (line 12).

@@ -24,15 +24,16 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
 
   const kk::TeamPolicy policy{static_cast<int>(fes.n_cells()), nq, 32};
 
-  // Device-checker scope (see kernel_cuda.cpp; same buffers, same rules).
+  // Species sums once per call, ahead of the team kernel.
+  const std::vector<double> sums = stage_species_sums(ctx, counters);
+
+  // Device-checker scope (see kernel_cuda.cpp; same rules).
   namespace check = exec::check;
   check::KernelScope chk("landau:jacobian-kokkos");
   auto ref_r = chk.in(std::span<const double>(ip.r), "ip.r");
   auto ref_z = chk.in(std::span<const double>(ip.z), "ip.z");
   auto ref_w = chk.in(std::span<const double>(ip.w), "ip.w");
-  auto ref_f = chk.in(std::span<const double>(ip.f), "ip.f");
-  auto ref_dfr = chk.in(std::span<const double>(ip.dfr), "ip.dfr");
-  auto ref_dfz = chk.in(std::span<const double>(ip.dfz), "ip.dfz");
+  auto ref_sums = chk.in(std::span<const double>(sums), "species_sums");
   auto ref_out = ctx.coo_values
                      ? LANDAU_CROSS_BLOCK(chk.out(std::span<double>(*ctx.coo_values), "coo.values"))
                      : LANDAU_CROSS_BLOCK(chk.out(j.values(), "csr.values"));
@@ -47,9 +48,7 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
     auto gr = member.view(ref_r);
     auto gz = member.view(ref_z);
     auto gw = member.view(ref_w);
-    auto gf = member.view(ref_f);
-    auto gdfr = member.view(ref_dfr);
-    auto gdfz = member.view(ref_dfz);
+    auto gsums = member.view(ref_sums);
     auto gout = member.view(ref_out);
 
     // Team scratch: variable-length shared arrays (no compile-time sizing,
@@ -60,16 +59,16 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
     // Integration points distributed over the team's threads.
     member.team_range(nq, [&](int i) {
       const std::size_t gi = ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(i);
+      // Vector lane l reduces the cyclic share l, l + V, ... of the points.
+      const auto lanes = static_cast<std::size_t>(member.vector_length());
       InnerAccum g;
       member.vector_reduce(
-          static_cast<int>(n),
-          [&](int jj, InnerAccum& acc) {
-            const auto sj = static_cast<std::size_t>(jj);
-            inner_point(gr[gi], gz[gi], gr[sj], gz[sj], gw[sj],
-                        gf.read_strided(sj, static_cast<std::size_t>(ns), n),
-                        gdfr.read_strided(sj, static_cast<std::size_t>(ns), n),
-                        gdfz.read_strided(sj, static_cast<std::size_t>(ns), n), n, ns,
-                        ctx.q2.data(), ctx.q2_over_m.data(), &acc);
+          member.vector_length(),
+          [&](int lane, InnerAccum& acc) {
+            const auto first = static_cast<std::size_t>(lane);
+            acc += inner_row(gr[gi], gz[gi],
+                             source_run(gr, gz, gw, gsums, n, first,
+                                        cyclic_count(first, n, lanes), lanes));
           },
           g);
       for (int a = 0; a < ns; ++a)
@@ -79,9 +78,9 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
             ctx.q2_over_m2[static_cast<std::size_t>(a)], geom.jinv[0], geom.jinv[1], gw[gi]);
     });
     member.team_barrier();
-    scope.flops(static_cast<std::int64_t>(n) * nq * inner_flops(ns));
-    scope.dram(static_cast<std::int64_t>(n) * (3 + 3 * ns) * 8); // per-member stream
-    scope.shared(static_cast<std::int64_t>(n) * nq * (3 + 3 * ns) * 8);
+    scope.flops(static_cast<std::int64_t>(n) * nq * kInnerPairFlops);
+    scope.dram(static_cast<std::int64_t>(n) * kStagedDoubles * 8); // per-member stream
+    scope.shared(static_cast<std::int64_t>(n) * nq * kStagedDoubles * 8);
 
     // Transform & Assemble across the team.
     member.team_range(ns * nb, [&](int item) {

@@ -2,63 +2,22 @@
 
 #include <cmath>
 
+#include "core/kernel_math.h"
 #include "util/special_math.h"
 
 namespace landau {
 
 LANDAU_DEVICE void landau_tensor_2d(double r, double z, double rp, double zp, Tensor2* uk,
-                      Tensor2* ud) noexcept {
-  const double dz = z - zp;
-  const double a = r * r + rp * rp + dz * dz;
-  if (a <= 0.0) {
-    *uk = Tensor2{};
-    *ud = Tensor2{};
-    return;
-  }
-  const double s = 2.0 * r * rp / a;
-  // Integrable singularity at coincident points (s -> 1, dz -> 0): follow the
-  // PETSc kernel and contribute zero from the diagonal.
-  if (s >= 1.0 - 1e-14 && std::abs(dz) < 1e-14 * std::sqrt(a)) {
-    *uk = Tensor2{};
-    *ud = Tensor2{};
-    return;
-  }
-  const double m = 2.0 * s / (1.0 + s);
-  double K, E;
-  elliptic_ke(m, &K, &E);
-
-  const double sq1s = std::sqrt(1.0 + s);
-  const double one_minus_s = 1.0 - s;
-  const double P0 = 4.0 * E / (one_minus_s * sq1s);
-  const double Q0 = 4.0 * K / sq1s;
-  const double R0 = 4.0 * sq1s * E;
-  double P1, P2;
-  if (s > 1e-3) {
-    P1 = (4.0 / (s * sq1s)) * (E / one_minus_s - K);
-    P2 = (P0 - 2.0 * Q0 + R0) / (s * s);
-  } else {
-    // Small-s series (axis limit r or r' -> 0): the closed forms above lose
-    // precision to cancellation (P1 like eps/s, P2 like eps/s^2). From the
-    // binomial expansion of (1 - s cos)^{-3/2}:
-    //   P1 = pi (3/2 s + 105/64 s^3 + O(s^5))
-    //   P2 = pi (1 + 45/32 s^2 + O(s^4)).
-    P1 = kPi * s * (1.5 + (105.0 / 64.0) * s * s);
-    P2 = kPi * (1.0 + (45.0 / 32.0) * s * s);
-  }
-
-  const double am32 = 1.0 / (a * std::sqrt(a));
-  const double off = -dz * (r * P0 - rp * P1) * am32;
-  const double d22 = ((r * r + rp * rp) * P0 - 2.0 * r * rp * P1) * am32;
-
-  ud->m[0][0] = (rp * rp * (P0 - P2) + dz * dz * P0) * am32;
-  ud->m[0][1] = off;
-  ud->m[1][0] = off;
-  ud->m[1][1] = d22;
-
-  uk->m[0][0] = (dz * dz * P1 + r * rp * (P0 - P2)) * am32;
-  uk->m[0][1] = off;
-  uk->m[1][0] = dz * (rp * P0 - r * P1) * am32;
-  uk->m[1][1] = d22;
+                                    Tensor2* ud) noexcept {
+  const detail::TensorEntries u = detail::landau_tensor_entries(r, z, rp, zp);
+  ud->m[0][0] = u.ud00;
+  ud->m[0][1] = u.off;
+  ud->m[1][0] = u.off;
+  ud->m[1][1] = u.d11;
+  uk->m[0][0] = u.uk00;
+  uk->m[0][1] = u.off;
+  uk->m[1][0] = u.uk10;
+  uk->m[1][1] = u.d11;
 }
 
 std::array<std::array<double, 3>, 3> landau_tensor_3d(const std::array<double, 3>& v,

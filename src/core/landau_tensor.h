@@ -35,15 +35,18 @@ struct Tensor2 {
   double m[2][2] = {{0, 0}, {0, 0}};
 };
 
-/// Evaluate U^K and U^D at field point (r,z), source point (rp,zp).
-/// The hot path of the entire solver: kept inline-friendly and allocation
-/// free. Counts ~flops via the optional pointer (roofline instrumentation).
+/// Evaluate U^K and U^D at field point (r,z), source point (rp,zp): a thin
+/// wrapper over the inline branch-free math the kernels' row loop uses
+/// (detail::landau_tensor_entries in core/kernel_math.h).
 LANDAU_DEVICE void landau_tensor_2d(double r, double z, double rp, double zp, Tensor2* uk,
                                     Tensor2* ud) noexcept;
 
-/// Number of floating point operations one landau_tensor_2d call performs
-/// (AGM iterations counted at their typical depth); used for flop accounting.
-inline constexpr int kLandauTensor2DFlops = 130;
+/// Floating point operations of one tensor evaluation, counted from
+/// detail::landau_tensor_entries (sqrt and division count one each; both
+/// sides of the small-s select are evaluated): set-up 13; the AGM 80 (eight
+/// rounds of 8, the 9-term sum, 7 around them); P0..P2 with both series and
+/// closed forms 27; the five entries 28.
+inline constexpr int kLandauTensor2DFlops = 148;
 
 /// 3D Landau tensor (eq. 3): U = (|u|^2 I - u u^T)/|u|^3, u = v - vbar.
 std::array<std::array<double, 3>, 3> landau_tensor_3d(const std::array<double, 3>& v,

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "core/kernel_math.h"
 #include "core/landau_tensor.h"
 #include "util/special_math.h"
 
@@ -156,5 +159,160 @@ TEST(LandauTensor, AccurateOnBothSidesOfSeriesSwitchover) {
         EXPECT_NEAR(uk.m[i][j], uk_q.m[i][j], 1e-6 * scale) << "s=" << s;
         EXPECT_NEAR(ud.m[i][j], ud_q.m[i][j], 1e-6 * scale) << "s=" << s;
       }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The inline fast path (core/kernel_math.h) against its references
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The U^K/U^D closed forms with branches and the adaptive elliptic_ke: the
+/// reference the branch-free, fixed-trip fast path replaces.
+void closed_form_reference(double r, double z, double rp, double zp, Tensor2* uk, Tensor2* ud) {
+  *uk = Tensor2{};
+  *ud = Tensor2{};
+  const double dz = z - zp;
+  const double a = r * r + rp * rp + dz * dz;
+  if (a <= 0.0) return;
+  const double s = 2.0 * r * rp / a;
+  if (s >= 1.0 - 1e-14 && std::abs(dz) < 1e-14 * std::sqrt(a)) return;
+  double K, E;
+  elliptic_ke(2.0 * s / (1.0 + s), &K, &E);
+  const double sq1s = std::sqrt(1.0 + s);
+  const double P0 = 4.0 * E / ((1.0 - s) * sq1s);
+  const double Q0 = 4.0 * K / sq1s;
+  const double R0 = 4.0 * sq1s * E;
+  double P1, P2;
+  if (s > 1e-3) {
+    P1 = (4.0 / (s * sq1s)) * (E / (1.0 - s) - K);
+    P2 = (P0 - 2.0 * Q0 + R0) / (s * s);
+  } else {
+    P1 = kPi * s * (1.5 + (105.0 / 64.0) * s * s);
+    P2 = kPi * (1.0 + (45.0 / 32.0) * s * s);
+  }
+  const double am32 = 1.0 / (a * std::sqrt(a));
+  const double off = -dz * (r * P0 - rp * P1) * am32;
+  const double d11 = ((r * r + rp * rp) * P0 - 2.0 * r * rp * P1) * am32;
+  ud->m[0][0] = (rp * rp * (P0 - P2) + dz * dz * P0) * am32;
+  ud->m[0][1] = ud->m[1][0] = off;
+  ud->m[1][1] = d11;
+  uk->m[0][0] = (dz * dz * P1 + r * rp * (P0 - P2)) * am32;
+  uk->m[0][1] = off;
+  uk->m[1][0] = dz * (rp * P0 - r * P1) * am32;
+  uk->m[1][1] = d11;
+}
+
+/// Normwise (Frobenius over both tensors) relative error of the fast path.
+double fast_path_error(double r, double z, double rp, double zp) {
+  Tensor2 uk_ref, ud_ref;
+  closed_form_reference(r, z, rp, zp, &uk_ref, &ud_ref);
+  const detail::TensorEntries u = detail::landau_tensor_entries(r, z, rp, zp);
+  const double uk[2][2] = {{u.uk00, u.off}, {u.uk10, u.d11}};
+  const double ud[2][2] = {{u.ud00, u.off}, {u.off, u.d11}};
+  double num = 0.0, den = 0.0;
+  for (int i = 0; i < 2; ++i)
+    for (int j = 0; j < 2; ++j) {
+      num += (uk[i][j] - uk_ref.m[i][j]) * (uk[i][j] - uk_ref.m[i][j]) +
+             (ud[i][j] - ud_ref.m[i][j]) * (ud[i][j] - ud_ref.m[i][j]);
+      den += uk_ref.m[i][j] * uk_ref.m[i][j] + ud_ref.m[i][j] * ud_ref.m[i][j];
+    }
+  return std::sqrt(num / den);
+}
+
+} // namespace
+
+TEST(LandauTensorFastPath, MatchesEllipticClosedForm) {
+  double worst = 0.0;
+  auto check = [&](double r, double z, double rp, double zp) {
+    const double e = fast_path_error(r, z, rp, zp);
+    worst = std::max(worst, e);
+    EXPECT_LE(e, 1e-13) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+  };
+  // The axis: field or source point at r = 0 (s = 0, series side).
+  for (double z : {-3.0, -0.4, 0.0, 0.7, 2.5})
+    for (double r : {0.05, 0.6, 1.3, 4.0}) {
+      check(0.0, z, r, 0.25);
+      check(r, 0.25, 0.0, z);
+    }
+  // Both sides of the series switchover at s = 1e-3.
+  const double z0 = 0.3, zp0 = -0.4, rp0 = 1.0, dz2 = (z0 - zp0) * (z0 - zp0);
+  for (int k = 0; k <= 400; ++k) {
+    const double s = 1e-4 * std::pow(1e2, k / 400.0); // 1e-4 .. 1e-2
+    double r = s; // fixed point of r = s (r^2 + rp^2 + dz^2) / (2 rp)
+    for (int it = 0; it < 100; ++it) r = s * (r * r + rp0 * rp0 + dz2) / (2.0 * rp0);
+    check(r, z0, rp0, zp0);
+    check(rp0, zp0, r, z0);
+  }
+  // Near-diagonal pairs, relative separation 1e-1 .. 1e-6 in several directions.
+  for (double r : {0.02, 0.5, 1.7, 4.9})
+    for (int e = 1; e <= 6; ++e)
+      for (double ang : {0.0, 0.7, 1.9, 3.1, 4.4}) {
+        const double d = r * std::pow(10.0, -e);
+        check(r, -0.3, r + d * std::cos(ang), -0.3 + d * std::sin(ang));
+      }
+  // Far field and a general scatter over the velocity box.
+  for (double rp : {10.0, 30.0, 50.0})
+    for (double zp : {-45.0, 0.0, 45.0}) check(0.9, 0.1, rp, zp);
+  for (int i = 0; i < 25; ++i)
+    for (int j = 0; j < 25; ++j)
+      check(0.2 * i, -2.5 + 0.21 * j, 0.17 * j + 0.05, 2.4 - 0.19 * i);
+  RecordProperty("worst_normwise_error", std::to_string(worst));
+}
+
+TEST(LandauTensorFastPath, CoincidentPointsGiveExactZero) {
+  for (const auto& p : {PointPair{0.8, 0.2, 0.8, 0.2}, PointPair{0.0, 0.3, 0.0, 0.3},
+                        PointPair{0.0, 0.0, 0.0, 0.0}, PointPair{1e-3, 5.0, 1e-3, 5.0},
+                        PointPair{4.0, -2.5, 4.0, -2.5}}) {
+    const detail::TensorEntries u = detail::landau_tensor_entries(p.r, p.z, p.rp, p.zp);
+    EXPECT_EQ(u.uk00, 0.0);
+    EXPECT_EQ(u.uk10, 0.0);
+    EXPECT_EQ(u.ud00, 0.0);
+    EXPECT_EQ(u.off, 0.0);
+    EXPECT_EQ(u.d11, 0.0);
+  }
+}
+
+TEST(LandauTensorFastPath, RowLoopMatchesPairwiseSum) {
+  // inner_row (vectorized, reordered reduction) against a scalar loop of
+  // landau_tensor_2d, over contiguous and strided runs that include the
+  // coincident point and the axis.
+  const std::size_t n = 301;
+  std::vector<double> r(n), z(n), w(n), sums(3 * n);
+  for (std::size_t k = 0; k < n; ++k) {
+    r[k] = 0.013 * static_cast<double>(k % 97);
+    z[k] = -2.0 + 0.0137 * static_cast<double>(k);
+    w[k] = 1e-3 * (1.0 + 0.5 * std::sin(0.3 * static_cast<double>(k)));
+    sums[k] = std::cos(0.1 * static_cast<double>(k));          // tk_r
+    sums[n + k] = -0.4 + 0.002 * static_cast<double>(k);        // tk_z
+    sums[2 * n + k] = 0.8 + 0.1 * std::sin(static_cast<double>(k)); // td
+  }
+  for (std::size_t stride : {1u, 3u}) {
+    for (std::size_t i : {0u, 5u, 150u, 300u}) {
+      const std::size_t count = detail::cyclic_count(0, n, stride);
+      const detail::InnerAccum g = detail::inner_row(
+          r[i], z[i],
+          {r.data(), z.data(), w.data(), sums.data(), sums.data() + n, sums.data() + 2 * n,
+           count, stride});
+      double gk_r = 0, gk_z = 0, gd00 = 0, gd01 = 0, gd11 = 0, scale = 0;
+      for (std::size_t k = 0; k < n; k += stride) {
+        Tensor2 uk, ud;
+        landau_tensor_2d(r[i], z[i], r[k], z[k], &uk, &ud);
+        const double tkr = sums[k], tkz = sums[n + k], td = sums[2 * n + k];
+        gk_r += w[k] * (uk.m[0][0] * tkr + uk.m[0][1] * tkz);
+        gk_z += w[k] * (uk.m[1][0] * tkr + uk.m[1][1] * tkz);
+        gd00 += w[k] * td * ud.m[0][0];
+        gd01 += w[k] * td * ud.m[0][1];
+        gd11 += w[k] * td * ud.m[1][1];
+        for (double v : {uk.m[0][0], uk.m[0][1], uk.m[1][0], ud.m[0][0], ud.m[1][1]})
+          scale += w[k] * std::abs(v) * 2.0;
+      }
+      EXPECT_NEAR(g.gk_r, gk_r, 1e-14 * scale) << "i=" << i << " stride=" << stride;
+      EXPECT_NEAR(g.gk_z, gk_z, 1e-14 * scale) << "i=" << i << " stride=" << stride;
+      EXPECT_NEAR(g.gd00, gd00, 1e-14 * scale) << "i=" << i << " stride=" << stride;
+      EXPECT_NEAR(g.gd01, gd01, 1e-14 * scale) << "i=" << i << " stride=" << stride;
+      EXPECT_NEAR(g.gd11, gd11, 1e-14 * scale) << "i=" << i << " stride=" << stride;
+    }
   }
 }

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <thread>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -293,7 +294,9 @@ TEST(ObsRoofline, PlacementMath) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsStepLog, QuenchRunWritesSchemaCompliantNdjson) {
-  const std::string path = "test_obs_steplog.ndjson";
+  // landau_tests and landau_analysis_tests both run this test and may run at
+  // the same time (ctest -j): each process writes its own file.
+  const std::string path = "test_obs_steplog." + std::to_string(::getpid()) + ".ndjson";
   auto& log = obs::StepLog::instance();
   log.set_path(path);
   ASSERT_TRUE(log.active());
@@ -374,17 +377,21 @@ TEST(ObsBenchCompare, SyntheticRegressionGating) {
 
   EXPECT_EQ(run_cmd("python3 " + script + " --self-test > /dev/null 2>&1"), 0);
 
-  write_bench_json("obs_bench_base.json", 100.0, 10.0);
-  write_bench_json("obs_bench_ok.json", 95.0, 10.4); // within the 10% noise band
-  write_bench_json("obs_bench_bad.json", 80.0, 10.0); // 20% throughput regression
+  // Per-process file names, as in ObsStepLog above (two test binaries).
+  const std::string tag = "." + std::to_string(::getpid()) + ".json";
+  const std::string base = "obs_bench_base" + tag, ok = "obs_bench_ok" + tag,
+                    bad = "obs_bench_bad" + tag;
+  write_bench_json(base, 100.0, 10.0);
+  write_bench_json(ok, 95.0, 10.4); // within the 10% noise band
+  write_bench_json(bad, 80.0, 10.0); // 20% throughput regression
 
-  const std::string compare = "python3 " + script + " obs_bench_base.json ";
-  EXPECT_EQ(run_cmd(compare + "obs_bench_ok.json > /dev/null 2>&1"), 0);
-  EXPECT_NE(run_cmd(compare + "obs_bench_bad.json > /dev/null 2>&1"), 0);
+  const std::string compare = "python3 " + script + " " + base + " ";
+  EXPECT_EQ(run_cmd(compare + ok + " > /dev/null 2>&1"), 0);
+  EXPECT_NE(run_cmd(compare + bad + " > /dev/null 2>&1"), 0);
   // A tighter threshold flags the within-noise diff too.
-  EXPECT_NE(run_cmd(compare + "obs_bench_ok.json --threshold 2 > /dev/null 2>&1"), 0);
+  EXPECT_NE(run_cmd(compare + ok + " --threshold 2 > /dev/null 2>&1"), 0);
 
-  std::remove("obs_bench_base.json");
-  std::remove("obs_bench_ok.json");
-  std::remove("obs_bench_bad.json");
+  std::remove(base.c_str());
+  std::remove(ok.c_str());
+  std::remove(bad.c_str());
 }

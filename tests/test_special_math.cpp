@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/kernel_math.h"
 #include "util/special_math.h"
 
 using landau::elliptic_ke;
@@ -19,8 +20,35 @@ TEST(Elliptic, ReferenceValueAtHalf) {
   // K(0.5) = 1.85407467730137..., E(0.5) = 1.35064388104768... (parameter m).
   double K, E;
   elliptic_ke(0.5, &K, &E);
-  EXPECT_NEAR(K, 1.8540746773013719, 1e-12);
-  EXPECT_NEAR(E, 1.3506438810476755, 1e-12);
+  EXPECT_NEAR(K, 1.8540746773013719, 2e-15 * 1.8540746773013719);
+  EXPECT_NEAR(E, 1.3506438810476755, 2e-15 * 1.3506438810476755);
+}
+
+namespace {
+
+struct EllipticRef {
+  double m, K, E;
+};
+
+// mpmath reference values over (0, 1), up to m = 1 - 1e-15.
+constexpr EllipticRef kEllipticTable[] = {
+#include "elliptic_table.inc"
+};
+
+} // namespace
+
+TEST(Elliptic, MatchesMpmathTable) {
+  // The adaptive reference and the kernels' fixed 8-round AGM, which must
+  // suffice up to m = 1 - 1e-15, the table's last entry.
+  for (const auto& t : kEllipticTable) {
+    double K, E;
+    elliptic_ke(t.m, &K, &E);
+    EXPECT_NEAR(K, t.K, 4e-15 * t.K) << "m=" << t.m;
+    EXPECT_NEAR(E, t.E, 4e-15 * t.E) << "m=" << t.m;
+    const landau::detail::EllipticKE fixed = landau::detail::elliptic_ke_fixed(t.m);
+    EXPECT_NEAR(fixed.K, t.K, 4e-15 * t.K) << "fixed, m=" << t.m;
+    EXPECT_NEAR(fixed.E, t.E, 4e-15 * t.E) << "fixed, m=" << t.m;
+  }
 }
 
 TEST(Elliptic, LegendreRelation) {
