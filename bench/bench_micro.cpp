@@ -1,9 +1,11 @@
 // Google-benchmark microbenchmarks of the hot kernels: elliptic integrals,
-// the 2D Landau tensor, the inner-integral row loop, banded LU, RCM,
-// sparse matvec, and the full element kernel on each back-end.
+// the 2D Landau tensor, the inner-integral row loop, banded LU (on a dense
+// random band and on real Landau Newton matrices), RCM, sparse matvec, and
+// the full element kernel on each back-end.
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <random>
 
 #include "core/kernel_math.h"
@@ -96,6 +98,48 @@ static void BM_BandLUFactor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BandLUFactor)->Arg(200)->Arg(800);
+
+/// Newton matrix M - dt C of a perfbench problem at its own dt: 0 = quench
+/// (electron + deuterium, 38 cells, 2 blocks), 1 = tungsten10 (10 species,
+/// Table VII mesh, 10 blocks). Built once per process.
+static const la::CsrMatrix& landau_newton_matrix(int which) {
+  static std::map<int, la::CsrMatrix> cache;
+  if (auto it = cache.find(which); it != cache.end()) return it->second;
+  const bool tungsten = which == 1;
+  SpeciesSet species = tungsten ? SpeciesSet::tungsten_plasma() : SpeciesSet::electron_deuterium();
+  species[1].mass = tungsten ? 100.0 : 50.0;
+  for (int s = 2; s < species.size(); ++s) species[s].mass = 1600.0;
+  LandauOptions lopts;
+  lopts.order = 3;
+  lopts.radius = 5.0;
+  lopts.base_levels = 1;
+  lopts.cells_per_thermal = tungsten ? 0.45 : 0.7;
+  lopts.max_levels = tungsten ? 6 : 3;
+  lopts.backend = Backend::CudaSim;
+  lopts.n_workers = 1;
+  LandauOperator op(species, lopts);
+  op.pack(op.maxwellian_state());
+  la::CsrMatrix c = op.new_matrix();
+  op.add_collision(c);
+  la::CsrMatrix sys = op.new_matrix();
+  sys.axpy(1.0, op.mass());
+  sys.axpy(tungsten ? -1e-4 : -0.125, c);
+  return cache.emplace(which, std::move(sys)).first->second;
+}
+
+static void BM_BandLUFactorLandau(benchmark::State& state) {
+  // Value load + factor of every RCM-ordered block of a real Newton matrix,
+  // serially: unlike the dense random band above, most of each band is
+  // structural zeros around the envelope.
+  const la::CsrMatrix& sys = landau_newton_matrix(static_cast<int>(state.range(0)));
+  la::BlockBandSolver solver;
+  solver.analyze(sys);
+  for (auto _ : state) solver.factor(sys);
+  state.SetLabel(state.range(0) == 1 ? "tungsten10" : "quench");
+  state.counters["blocks"] = static_cast<double>(solver.n_blocks());
+  state.counters["bandwidth"] = static_cast<double>(solver.bandwidth());
+}
+BENCHMARK(BM_BandLUFactorLandau)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 static void BM_RcmOrdering(benchmark::State& state) {
   const std::size_t n = 500;

@@ -55,28 +55,48 @@ void BandMatrix::reshape(std::size_t n, std::size_t lbw, std::size_t ubw) {
   std::fill(data_.begin(), data_.begin() + static_cast<std::ptrdiff_t>(need), 0.0);
 }
 
+namespace {
+
+/// y[t] -= m * x[t] for t < len: the rank-one update of one row. The rows
+/// never overlap, and __restrict lets GCC vectorize the loop without a
+/// runtime alias check.
+void update_row(double* __restrict y, const double* __restrict x, double m, std::size_t len) {
+  for (std::size_t t = 0; t < len; ++t) y[t] -= m * x[t];
+}
+
+} // namespace
+
 std::int64_t BandMatrix::factor_lu() {
-  // Outer-product banded LU without pivoting (Golub & Van Loan 4.3.1):
-  // for each column k, scale the sub-column by 1/pivot and apply a B x B
-  // rank-one update to the dense sub-block A(k+1:k+lbw, k+1:k+ubw).
+  // Outer-product banded LU without pivoting (Golub & Van Loan 4.3.1),
+  // restricted to the envelope: for each column k, scale the nonzero entries
+  // of the sub-column by 1/pivot and subtract m * (row k of U) from their
+  // rows, with row k trimmed to its last nonzero. The skipped operations are
+  // all x -= m*0 or x -= 0*y, so the factors equal the full-band update's.
+  // Finite inputs make that exact; a NaN or Inf anywhere would break it
+  // (0*NaN is NaN), so every pivot, U row and multiplier is checked instead.
   std::int64_t flops = 0;
+  double* const a = data_.data();
   for (std::size_t k = 0; k < n_; ++k) {
-    const double piv = at(k, k);
+    const double* const rk = a + index(k, k); // rk[t] = A(k, k+t)
+    const double piv = rk[0];
     // The negated comparison also rejects NaN pivots (NaN < x is false for
     // every x), so a poisoned matrix throws instead of factoring into NaNs.
     if (!(std::abs(piv) >= 1e-300) || !std::isfinite(piv))
       LANDAU_THROW("zero or non-finite pivot in banded LU at row " << k);
+    std::size_t len = std::min(n_ - 1, k + ubw_) - k;
+    while (len > 0 && rk[len] == 0.0) --len; // NaN != 0.0: kept in the span
+    for (std::size_t t = 1; t <= len; ++t)
+      if (!std::isfinite(rk[t])) LANDAU_THROW("non-finite entry in banded LU at row " << k);
     const double inv = 1.0 / piv;
     const std::size_t imax = std::min(n_ - 1, k + lbw_);
-    const std::size_t jmax = std::min(n_ - 1, k + ubw_);
-    for (std::size_t i = k + 1; i <= imax && i < n_; ++i) {
-      const double m = at(i, k) * inv;
-      at(i, k) = m;
-      ++flops;
-      for (std::size_t j = k + 1; j <= jmax; ++j) {
-        at(i, j) -= m * at(k, j);
-        flops += 2;
-      }
+    for (std::size_t i = k + 1; i <= imax; ++i) {
+      double* const ri = a + index(i, k); // ri[t] = A(i, k+t)
+      if (ri[0] == 0.0) continue;
+      const double m = ri[0] * inv;
+      if (!std::isfinite(m)) LANDAU_THROW("non-finite multiplier in banded LU at row " << i);
+      ri[0] = m;
+      update_row(ri + 1, rk + 1, m, len);
+      flops += 1 + 2 * static_cast<std::int64_t>(len);
     }
   }
   return flops;

@@ -2,8 +2,9 @@
 // Band-storage matrix and the custom banded LU solver described in §III-G:
 // reverse Cuthill–McKee ordering minimizes bandwidth, then the standard
 // outer-product form of banded LU (Golub & Van Loan, Algorithm 4.3.1) factors
-// the matrix in place without pivoting. Landau Jacobians are structurally
-// symmetric, so LBW == UBW in practice, but the storage supports LBW != UBW.
+// the matrix in place without pivoting, skipping the structural zeros inside
+// the band (factor_lu). Landau Jacobians are structurally symmetric, so
+// LBW == UBW in practice, but the storage supports LBW != UBW.
 //
 // Symbolic-reuse contract (the §III-G amortization): analyze() runs the
 // expensive pattern work once — RCM, diagonal-block discovery, per-block band
@@ -66,9 +67,17 @@ public:
     return (j + lbw_ >= i) && (j <= i + ubw_);
   }
 
-  /// In-place LU factorization without pivoting (outer-product form). Throws
-  /// on a (near-)zero pivot. Returns the number of floating point operations
-  /// performed (used by the roofline bench).
+  /// In-place LU factorization without pivoting (outer-product form),
+  /// restricted to the envelope. After RCM most of the band is structural
+  /// zeros, and LU without pivoting never fills outside the envelope: for
+  /// pivot column k the update skips every row i with A(i,k) == 0 and trims
+  /// row k of U to its last nonzero. Each skipped operation is x -= m*0 or
+  /// x -= 0*y, so on finite matrices the factors equal the full-band
+  /// update's (device_band_factor, the reference) entry by entry.
+  /// Throws on a (near-)zero or non-finite pivot and on any non-finite
+  /// entry of the factors (the skip would otherwise drop a 0*NaN). Returns
+  /// the floating point operations actually performed: envelope work, not
+  /// the full band's (a tridiagonal matrix costs 3(n-1) at any band width).
   std::int64_t factor_lu();
 
   /// Solve LU x = b after factor_lu(); b and x may alias.

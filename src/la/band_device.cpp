@@ -36,10 +36,15 @@ void device_band_factor(exec::ThreadPool& pool, std::span<BandMatrix*> systems,
         const std::size_t ubw = a.upper_bandwidth();
         // Outer-product banded LU: the k loop is sequential (each pivot
         // column depends on the previous update); rows of the rank-1 update
-        // are independent and stride across the lanes.
+        // are independent and stride across the lanes. The update runs over
+        // the full band, zeros included: this is the slow reference the
+        // host's envelope-skipping factor_lu is tested against.
         for (std::size_t k = 0; k < n; ++k) {
           const double piv = av[a.index(k, k)];
-          if (std::abs(piv) < 1e-300) LANDAU_THROW("zero pivot in device band LU at row " << k);
+          // Negated like the host check: NaN fails every comparison, so
+          // `abs(piv) < eps` would let a NaN pivot factor into NaNs.
+          if (!(std::abs(piv) >= 1e-300) || !std::isfinite(piv))
+            LANDAU_THROW("zero or non-finite pivot in device band LU at row " << k);
           const double inv = 1.0 / piv;
           const std::size_t imax = std::min(n - 1, k + lbw);
           const std::size_t jmax = std::min(n - 1, k + ubw);

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <random>
+#include <utility>
 
 #include "la/band.h"
 #include "la/csr.h"
@@ -45,6 +46,18 @@ CsrMatrix block_matrix(std::size_t blocks, std::size_t block_n, std::size_t bw, 
       for (std::size_t j = (i > bw ? i - bw : 0); j <= std::min(block_n - 1, i + bw); ++j)
         a.add(b * block_n + i, b * block_n + j, i == j ? 10.0 : dist(rng));
   return a;
+}
+
+/// Tridiagonal matrix stored with a wider band than it needs (lbw = ubw =
+/// bw): everything off the three diagonals is a structural zero.
+BandMatrix wide_tridiagonal(std::size_t n, std::size_t bw) {
+  BandMatrix b(n, bw, bw);
+  for (std::size_t i = 0; i < n; ++i) {
+    b.at(i, i) = 4.0;
+    if (i > 0) b.at(i, i - 1) = -1.0 - 0.01 * static_cast<double>(i);
+    if (i + 1 < n) b.at(i, i + 1) = -1.0 + 0.01 * static_cast<double>(i);
+  }
+  return b;
 }
 
 } // namespace
@@ -129,6 +142,48 @@ TEST(Band, FactorReportsFlopCount) {
   for (int i = 0; i < 20; ++i) identity[static_cast<std::size_t>(i)] = i;
   auto band = BandMatrix::from_csr(a, identity, 0, 20);
   EXPECT_GT(band.factor_lu(), 0);
+}
+
+TEST(Band, FactorCountsEnvelopeWorkOnly) {
+  // Each pivot column of a tridiagonal matrix updates one row over one
+  // column: the multiplier (1 flop) and one multiply-subtract (2 flops),
+  // whatever band width the storage has.
+  const std::size_t n = 40;
+  BandMatrix b = wide_tridiagonal(n, 5);
+  EXPECT_EQ(b.factor_lu(), static_cast<std::int64_t>(3 * (n - 1)));
+}
+
+TEST(Band, NonFiniteOffDiagonalThrows) {
+  // The envelope skip drops x -= 0*y, which is not a no-op when y is NaN or
+  // Inf. A poisoned entry anywhere inside the band, on the tridiagonal or in
+  // the structural zeros around it, above or below the diagonal, must still
+  // make the factorization throw rather than leave a non-finite factor.
+  const std::size_t n = 12;
+  const std::pair<std::size_t, std::size_t> spots[] = {{3, 4}, {4, 3}, {2, 6},
+                                                       {6, 2}, {10, 11}, {11, 10}};
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    for (const auto& [i, j] : spots) {
+      BandMatrix b = wide_tridiagonal(n, 5);
+      b.at(i, j) = bad;
+      EXPECT_THROW(b.factor_lu(), landau::Error) << bad << " at (" << i << "," << j << ")";
+    }
+    // Bidiagonal matrices: no update carries the poisoned entry to a later
+    // pivot, so only the factor's own finiteness check can catch it.
+    for (const auto& [i, j] : spots) {
+      BandMatrix b = wide_tridiagonal(n, 5);
+      for (std::size_t r = 0; r + 1 < n; ++r) {
+        if (i > j)
+          b.at(r, r + 1) = 0.0; // lower bidiagonal + poisoned L entry
+        else
+          b.at(r + 1, r) = 0.0; // upper bidiagonal + poisoned U entry
+      }
+      b.at(i, j) = bad;
+      EXPECT_THROW(b.factor_lu(), landau::Error)
+          << bad << " at (" << i << "," << j << "), bidiagonal";
+    }
+  }
 }
 
 TEST(Band, ZeroPivotThrows) {
