@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks of the hot kernels: elliptic integrals,
-// the 2D Landau tensor, the inner-integral row loop, banded LU (on a dense
+// the 2D Landau tensor, the inner-integral row loop (dispatched, and each
+// ISA clone), Transform & Assemble of one cell, banded LU (on a dense
 // random band and on real Landau Newton matrices), RCM, sparse matvec, and
 // the full element kernel on each back-end.
 
@@ -8,6 +9,7 @@
 #include <map>
 #include <random>
 
+#include "core/jacobian.h"
 #include "core/kernel_math.h"
 #include "core/landau_tensor.h"
 #include "core/operator.h"
@@ -82,6 +84,86 @@ static void BM_InnerPoint(benchmark::State& state) {
       pairs, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_InnerPoint)->Arg(1)->Arg(2)->Arg(10);
+
+static void BM_InnerRowIsa(benchmark::State& state) {
+  // One row-loop clone (0 = baseline, 1 = AVX2) over the runs cuda-sim
+  // issues for one Q3 cell and one 512-point tile: 16 field points x 16
+  // lanes, each lane a 32-pair run at stride 16. Reports ns per (i, j) pair.
+  using RowLoop = detail::InnerAccum (*)(double, double, const detail::SourceRun&);
+  RowLoop loop = detail::inner_row_baseline;
+  if (state.range(0) == 1) {
+#if defined(__x86_64__) || defined(__i386__)
+    if (detail::row_loop_avx2()) loop = detail::inner_row_avx2;
+#endif
+    if (loop == detail::inner_row_baseline) {
+      state.SkipWithError("host lacks AVX2 or FMA");
+      return;
+    }
+  }
+  constexpr std::size_t kTile = 512, kRows = 16, kLanes = 16;
+  std::mt19937 rng(3);
+  std::uniform_real_distribution<double> ur(0.0, 4.0), uz(-4.0, 4.0), uf(0.1, 1.0);
+  std::vector<double> r(kTile), z(kTile), w(kTile), sums(3 * kTile);
+  for (std::size_t k = 0; k < kTile; ++k) {
+    r[k] = ur(rng);
+    z[k] = uz(rng);
+    w[k] = 1e-3 * uf(rng);
+    sums[k] = uf(rng);
+    sums[kTile + k] = uf(rng) - 0.5;
+    sums[2 * kTile + k] = uf(rng);
+  }
+  for (auto _ : state) {
+    detail::InnerAccum acc;
+    for (std::size_t i = 0; i < kRows; ++i)
+      for (std::size_t x = 0; x < kLanes; ++x)
+        acc += loop(r[i], z[i],
+                    {r.data() + x, z.data() + x, w.data() + x, sums.data() + x,
+                     sums.data() + kTile + x, sums.data() + 2 * kTile + x, kTile / kLanes, kLanes});
+    benchmark::DoNotOptimize(acc.gd00);
+  }
+  const double pairs = static_cast<double>(kRows * kTile);
+  state.SetLabel(state.range(0) == 1 ? "avx2" : "baseline");
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pairs));
+  state.counters["ns_per_pair"] = benchmark::Counter(
+      pairs, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_InnerRowIsa)->Arg(0)->Arg(1);
+
+static void BM_TransformAssemble(benchmark::State& state) {
+  // Algorithm 1 lines 13-23 for one Q3 cell as the kernels run it: the
+  // species-free point coefficients, CK and CD contracted once per (a, b),
+  // and every species' element matrix ck CK + cd CD. Arg: species count.
+  const int ns = static_cast<int>(state.range(0));
+  const fem::Tabulation tab(3);
+  const int nq = tab.n_quad(), nb = tab.n_basis();
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<double> ug(-1.0, 1.0);
+  std::vector<detail::InnerAccum> g(static_cast<std::size_t>(nq));
+  for (auto& gi : g) gi = {ug(rng), ug(rng), 1.0 + ug(rng), 0.3 * ug(rng), 1.0 + ug(rng)};
+  std::vector<double> ck(static_cast<std::size_t>(ns)), cd(static_cast<std::size_t>(ns));
+  for (int s = 0; s < ns; ++s) {
+    ck[static_cast<std::size_t>(s)] = 1.0 / (1.0 + s);
+    cd[static_cast<std::size_t>(s)] = -1.0 / ((1.0 + s) * (1.0 + s));
+  }
+  std::vector<detail::PointCoeffs> p(static_cast<std::size_t>(nq));
+  detail::ElementMatrices ce;
+  ce.resize(ns, nb);
+  for (auto _ : state) {
+    for (int i = 0; i < nq; ++i)
+      p[static_cast<std::size_t>(i)] =
+          detail::transform_point(g[static_cast<std::size_t>(i)], 5.7, 3.3, 1e-3);
+    for (int a = 0; a < nb; ++a)
+      for (int b = 0; b < nb; ++b) {
+        const detail::ElementPair e = detail::contract_pair(tab, p.data(), a, b);
+        for (int s = 0; s < ns; ++s)
+          ce.at(s, a, b) = ck[static_cast<std::size_t>(s)] * e.k + cd[static_cast<std::size_t>(s)] * e.d;
+      }
+    benchmark::DoNotOptimize(ce.c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["flops"] = static_cast<double>(detail::transform_assemble_flops(nq, nb, ns));
+}
+BENCHMARK(BM_TransformAssemble)->Arg(2)->Arg(10)->Unit(benchmark::kMicrosecond);
 
 static void BM_BandLUFactor(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -64,6 +64,11 @@ struct JacobianContext {
   // Coefficient tables: q^2, q^2 m0/m, q^2 (m0/m)^2 per species.
   std::vector<double> q2, q2_over_m, q2_over_m2;
 
+  /// The two species scalars of Transform & Assemble (Algorithm 1 lines
+  /// 13-20): species s's element matrix is ck(s) CK + cd(s) CD.
+  double ck(int s) const { return nu0 * q2_over_m[static_cast<std::size_t>(s)]; }
+  double cd(int s) const { return -nu0 * q2_over_m2[static_cast<std::size_t>(s)]; }
+
   void init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d);
 
   std::size_t n_free() const { return fes->n_dofs(); }

@@ -45,7 +45,7 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   check::checked_span<double> gout(ref_out, &tc);
 
   ElementMatrices ce;
-  std::vector<PointCoeffs> coeffs(static_cast<std::size_t>(ns) * nq);
+  std::vector<PointCoeffs> coeffs(static_cast<std::size_t>(nq));
 
   for (std::size_t cell = 0; cell < fes.n_cells(); ++cell) {
     exec::CounterScope scope(counters);
@@ -58,32 +58,18 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
       const InnerAccum g = inner_row(gr[gi], gz[gi], source_run(gr, gz, gw, gsums, n, 0, n, 1));
       scope.flops(static_cast<std::int64_t>(n) * kInnerPairFlops);
       scope.dram(static_cast<std::int64_t>(n) * kStagedDoubles * 8);
-      for (int a = 0; a < ns; ++a)
-        coeffs[static_cast<std::size_t>(a * nq + i)] = transform_point(
-            g, ctx.nu0, ctx.q2[static_cast<std::size_t>(a)],
-            ctx.q2_over_m[static_cast<std::size_t>(a)], ctx.q2_over_m2[static_cast<std::size_t>(a)],
-            geom.jinv[0], geom.jinv[1], gw[gi]);
+      coeffs[static_cast<std::size_t>(i)] = transform_point(g, geom.jinv[0], geom.jinv[1], gw[gi]);
     }
 
     // Transform & Assemble (Algorithm 1 line 23): contract with the element
-    // tabulation to form the per-species element matrices.
-    for (int a_sp = 0; a_sp < ns; ++a_sp) {
-      for (int i = 0; i < nq; ++i) {
-        const auto& p = coeffs[static_cast<std::size_t>(a_sp * nq + i)];
-        for (int a = 0; a < nb; ++a) {
-          const double ear = tab.E(i, a, 0);
-          const double eaz = tab.E(i, a, 1);
-          const double ka = ear * p.kk_r + eaz * p.kk_z;
-          const double dar = ear * p.dd00 + eaz * p.dd01;
-          const double daz = ear * p.dd01 + eaz * p.dd11;
-          for (int b = 0; b < nb; ++b)
-            ce.at(a_sp, a, b) +=
-                dar * tab.E(i, b, 0) + daz * tab.E(i, b, 1) + ka * tab.B(i, b);
-        }
+    // tabulation once, then scale into every species' element matrix.
+    for (int a = 0; a < nb; ++a)
+      for (int b = 0; b < nb; ++b) {
+        const ElementPair e = contract_pair(tab, coeffs.data(), a, b);
+        for (int s = 0; s < ns; ++s) ce.at(s, a, b) = ctx.ck(s) * e.k + ctx.cd(s) * e.d;
       }
-    }
-    scope.flops(static_cast<std::int64_t>(ns) * nq * nb * (8 + 5 * nb));
-    scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2);
+    scope.flops(transform_assemble_flops(nq, nb, ns));
+    scope.dram(transform_assemble_dram(nb, ns));
     assemble_element(ctx, cell, ce, j, gout.active() ? &gout : nullptr);
   }
   chk.finish();

@@ -82,12 +82,13 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         // Register file: each thread's partial (G_K, G_D).
         auto regs = blk.registers<InnerAccum>("regs");
 
-        // Shared memory: staging tiles and the per-(species, point) results.
+        // Shared memory: staging tiles, the per-point coefficients and the
+        // element matrices.
         auto tile_r = blk.shared<double>(kTile, "tile_r");
         auto tile_z = blk.shared<double>(kTile, "tile_z");
         auto tile_w = blk.shared<double>(kTile, "tile_w");
         auto tile_sums = blk.shared<double>(3 * kTile, "tile_sums"); // tk_r, tk_z, td
-        auto kkdd = blk.shared<PointCoeffs>(static_cast<std::size_t>(ns) * nq, "kkdd");
+        auto kkdd = blk.shared<PointCoeffs>(static_cast<std::size_t>(nq), "kkdd");
         auto ce = blk.shared<double>(static_cast<std::size_t>(ns) * nb * nb, "ce");
 
         // Inner integral over all global points, tile by tile (lines 3-11).
@@ -134,44 +135,32 @@ void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::
         // Warp-shuffle reduction across the x-lanes (line 12).
         blk.shfl_xor_sum_x(regs);
 
-        // Per-species scaling and mapping to the global basis (lines 13-21).
+        // Mapping to the global basis (lines 13-20): lane 0 of each point's
+        // row transforms the row-reduced value in its own register slot.
         blk.threads([&](exec::ThreadIdx t) {
+          if (t.x != 0) return;
           const std::size_t gi =
               ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(t.y);
-          // Row-reduced value: each thread reads its own register slot.
           const InnerAccum& g = *regs.read_ptr(static_cast<std::size_t>(t.flat));
-          for (int a = t.x; a < ns; a += lanes)
-            kkdd[static_cast<std::size_t>(a * nq + t.y)] = transform_point(
-                g, ctx.nu0, ctx.q2[static_cast<std::size_t>(a)],
-                ctx.q2_over_m[static_cast<std::size_t>(a)],
-                ctx.q2_over_m2[static_cast<std::size_t>(a)], geom.jinv[0], geom.jinv[1],
-                gw[gi]);
+          kkdd[static_cast<std::size_t>(t.y)] =
+              transform_point(g, geom.jinv[0], geom.jinv[1], gw[gi]);
         });
         blk.sync();
 
         // Transform & Assemble with all threads (line 23): distribute the
-        // (species, test, trial) triples across the whole block.
-        const int total = ns * nb * nb;
+        // (test, trial) pairs across the whole block; each pair is
+        // contracted once and scaled into every species' element matrix.
+        const int pairs = nb * nb;
         blk.threads([&](exec::ThreadIdx t) {
-          for (int item = t.flat; item < total; item += blk.num_threads()) {
-            const int a_sp = item / (nb * nb);
-            const int a = (item / nb) % nb;
-            const int b = item % nb;
-            double acc = 0.0;
-            for (int i = 0; i < nq; ++i) {
-              const PointCoeffs& p = *kkdd.read_ptr(static_cast<std::size_t>(a_sp * nq + i));
-              const double ear = tab.E(i, a, 0);
-              const double eaz = tab.E(i, a, 1);
-              acc += (ear * p.dd00 + eaz * p.dd01) * tab.E(i, b, 0) +
-                     (ear * p.dd01 + eaz * p.dd11) * tab.E(i, b, 1) +
-                     (ear * p.kk_r + eaz * p.kk_z) * tab.B(i, b);
-            }
-            ce[static_cast<std::size_t>(item)] = acc;
+          for (int item = t.flat; item < pairs; item += blk.num_threads()) {
+            const ElementPair e = contract_pair(tab, kkdd.read_all(), item / nb, item % nb);
+            for (int s = 0; s < ns; ++s)
+              ce[static_cast<std::size_t>(s * pairs + item)] = ctx.ck(s) * e.k + ctx.cd(s) * e.d;
           }
         });
         blk.sync();
-        scope.flops(static_cast<std::int64_t>(total) * nq * 13);
-        scope.dram(static_cast<std::int64_t>(total) * 8 * 2);
+        scope.flops(transform_assemble_flops(nq, nb, ns));
+        scope.dram(transform_assemble_dram(nb, ns));
 
         // Global assembly with atomics (§III-F).
         ElementMatrices em;

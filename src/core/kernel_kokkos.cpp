@@ -53,7 +53,7 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
 
     // Team scratch: variable-length shared arrays (no compile-time sizing,
     // unlike the CUDA version).
-    auto kkdd = member.team_scratch<PointCoeffs>(static_cast<std::size_t>(ns) * nq, "kkdd");
+    auto kkdd = member.team_scratch<PointCoeffs>(static_cast<std::size_t>(nq), "kkdd");
     auto ce = member.team_scratch<double>(static_cast<std::size_t>(ns) * nb * nb, "ce");
 
     // Integration points distributed over the team's threads.
@@ -71,37 +71,26 @@ void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la
                                         cyclic_count(first, n, lanes), lanes));
           },
           g);
-      for (int a = 0; a < ns; ++a)
-        kkdd[static_cast<std::size_t>(a * nq + i)] = transform_point(
-            g, ctx.nu0, ctx.q2[static_cast<std::size_t>(a)],
-            ctx.q2_over_m[static_cast<std::size_t>(a)],
-            ctx.q2_over_m2[static_cast<std::size_t>(a)], geom.jinv[0], geom.jinv[1], gw[gi]);
+      kkdd[static_cast<std::size_t>(i)] = transform_point(g, geom.jinv[0], geom.jinv[1], gw[gi]);
     });
     member.team_barrier();
     scope.flops(static_cast<std::int64_t>(n) * nq * kInnerPairFlops);
     scope.dram(static_cast<std::int64_t>(n) * kStagedDoubles * 8); // per-member stream
     scope.shared(static_cast<std::int64_t>(n) * nq * kStagedDoubles * 8);
 
-    // Transform & Assemble across the team.
-    member.team_range(ns * nb, [&](int item) {
-      const int a_sp = item / nb;
-      const int a = item % nb;
+    // Transform & Assemble across the team: test functions over the team
+    // threads, trial functions over the vector lanes, each (a, b) pair
+    // contracted once and scaled into every species' element matrix.
+    member.team_range(nb, [&](int a) {
       member.vector_range(nb, [&](int b) {
-        double acc = 0.0;
-        for (int i = 0; i < nq; ++i) {
-          const PointCoeffs& p = *kkdd.read_ptr(static_cast<std::size_t>(a_sp * nq + i));
-          const double ear = tab.E(i, a, 0);
-          const double eaz = tab.E(i, a, 1);
-          acc += (ear * p.dd00 + eaz * p.dd01) * tab.E(i, b, 0) +
-                 (ear * p.dd01 + eaz * p.dd11) * tab.E(i, b, 1) +
-                 (ear * p.kk_r + eaz * p.kk_z) * tab.B(i, b);
-        }
-        ce[static_cast<std::size_t>((a_sp * nb + a) * nb + b)] = acc;
+        const ElementPair e = contract_pair(tab, kkdd.read_all(), a, b);
+        for (int s = 0; s < ns; ++s)
+          ce[static_cast<std::size_t>((s * nb + a) * nb + b)] = ctx.ck(s) * e.k + ctx.cd(s) * e.d;
       });
     });
     member.team_barrier();
-    scope.flops(static_cast<std::int64_t>(ns) * nb * nb * nq * 13);
-    scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2);
+    scope.flops(transform_assemble_flops(nq, nb, ns));
+    scope.dram(transform_assemble_dram(nb, ns));
 
     ElementMatrices em;
     em.n_species = ns;

@@ -10,16 +10,25 @@
 //    and td = Σ_b q_b² f_b of one source point, staged once per point (they
 //    do not depend on the field point i);
 //  * inner_row: the (G_K, G_D) partial sums of one field point over a
-//    strided run of staged source points. The loop body is the inline,
-//    branch-free U^K/U^D closed form with a fixed-trip AGM, so GCC
-//    vectorizes it under `omp simd` (the kernel translation units carry the
-//    flags that allow it, see src/CMakeLists.txt).
+//    strided run of staged source points. The loop body (inner_row_body) is
+//    the inline, branch-free U^K/U^D closed form with a fixed-trip AGM, so
+//    GCC vectorizes it under `omp simd` (the kernel translation units carry
+//    the flags that allow it, see src/CMakeLists.txt). It is compiled twice,
+//    at the baseline ISA and for AVX2, and inner_row runs the widest one the
+//    host supports.
+//
+// Transform & Assemble (lines 13-23) depends on the species only through
+// two scalars, ck = nu0 q^2/m and cd = -nu0 q^2/m^2: every species' element
+// matrix is ck CK + cd CD, where CK and CD are contracted once per cell from
+// species-free point coefficients (transform_point, contract_pair).
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "core/landau_tensor.h"
 #include "exec/annotations.h"
+#include "fem/tabulation.h"
 #include "util/special_math.h"
 
 namespace landau::detail {
@@ -205,8 +214,10 @@ inline constexpr int species_sum_flops(int n_species) { return 6 * n_species; }
 inline constexpr int kStagedDoubles = 6;
 
 /// Algorithm 1 lines 4-11 for one field point (ri, zi) over a run of staged
-/// source points: the (G_K, G_D) partial sums, returned by value.
-LANDAU_DEVICE inline InnerAccum inner_row(double ri, double zi, const SourceRun& src) {
+/// source points: the (G_K, G_D) partial sums, returned by value. The one
+/// copy of the row loop's math; the kernels call it through inner_row.
+[[gnu::always_inline]] LANDAU_DEVICE inline InnerAccum inner_row_body(double ri, double zi,
+                                                                      const SourceRun& src) {
   const double* r = src.r;
   const double* z = src.z;
   const double* w = src.w;
@@ -230,31 +241,83 @@ LANDAU_DEVICE inline InnerAccum inner_row(double ri, double zi, const SourceRun&
   return {gk_r, gk_z, gd00, gd01, gd11};
 }
 
-/// Per-point per-species transform (Algorithm 1 lines 13-20): scale the
-/// reduced integrals by the species coefficients, map to the global basis
-/// with the (diagonal) inverse element Jacobian, and weight by w[gi].
+/// inner_row_body compiled out of line at the baseline ISA (landau_tensor.cpp).
+LANDAU_DEVICE InnerAccum inner_row_baseline(double ri, double zi, const SourceRun& src);
+
+#if defined(__x86_64__) || defined(__i386__)
+/// inner_row_body compiled for AVX2 (4 doubles per vector). Call it only
+/// when row_loop_avx2() is true. Floating-point contraction is off in the
+/// kernel units, so each pair's arithmetic is the baseline's; only the
+/// reduction order of the five sums differs.
+LANDAU_DEVICE InnerAccum inner_row_avx2(double ri, double zi, const SourceRun& src);
+#endif
+
+/// True when the host supports AVX2 and FMA, so inner_row runs inner_row_avx2.
+bool row_loop_avx2();
+
+/// The row loop the back-ends call: inner_row_avx2 where the host supports
+/// it, inner_row_baseline otherwise, chosen once per process.
+LANDAU_DEVICE InnerAccum inner_row(double ri, double zi, const SourceRun& src);
+
+/// Species-free point coefficients of one field point (Algorithm 1 lines
+/// 13-20 without the species scalars): the reduced integrals mapped to the
+/// global basis with the (diagonal) inverse element Jacobian and weighted by
+/// w[gi]. Species alpha's KK and DD are ck_alpha (kk_r, kk_z) and
+/// cd_alpha (dd00, dd01, dd11).
 struct PointCoeffs {
-  double kk_r, kk_z;          // KK[alpha][i]
-  double dd00, dd01, dd11;    // DD[alpha][i] (symmetric)
+  double kk_r, kk_z;       // KK / ck
+  double dd00, dd01, dd11; // DD / cd (symmetric)
 };
 
-LANDAU_DEVICE inline PointCoeffs transform_point(const InnerAccum& g, double nu0, double q2a,
-                                   double q2a_over_ma, double q2a_over_ma2, double jinv0,
-                                   double jinv1, double wi) {
+LANDAU_DEVICE inline PointCoeffs transform_point(const InnerAccum& g, double jinv0, double jinv1,
+                                                 double wi) {
   // wi is the packed weight qw * detJ * r; the outer measure carries the
   // explicit 2 pi of the axisymmetric weak form (the inner 2 pi is already
   // folded into the elliptic-integral tensors).
   PointCoeffs p;
   const double w2pi = 2.0 * 3.14159265358979323846 * wi;
-  const double ck = nu0 * q2a_over_ma;
-  const double cd = -nu0 * q2a_over_ma2;
-  (void)q2a;
-  p.kk_r = jinv0 * ck * g.gk_r * w2pi;
-  p.kk_z = jinv1 * ck * g.gk_z * w2pi;
-  p.dd00 = jinv0 * jinv0 * cd * g.gd00 * w2pi;
-  p.dd01 = jinv0 * jinv1 * cd * g.gd01 * w2pi;
-  p.dd11 = jinv1 * jinv1 * cd * g.gd11 * w2pi;
+  p.kk_r = jinv0 * g.gk_r * w2pi;
+  p.kk_z = jinv1 * g.gk_z * w2pi;
+  p.dd00 = jinv0 * jinv0 * g.gd00 * w2pi;
+  p.dd01 = jinv0 * jinv1 * g.gd01 * w2pi;
+  p.dd11 = jinv1 * jinv1 * g.gd11 * w2pi;
   return p;
+}
+
+/// Entry (a, b) of the two species-independent element matrices.
+struct ElementPair {
+  double k = 0, d = 0; // CK[a][b], CD[a][b]
+};
+
+/// Transform & Assemble's contraction for test function a and trial
+/// function b over the cell's nq point coefficients p (line 23):
+///   CK[a][b] = sum_i (E_a . kk_i) B_b,   CD[a][b] = sum_i E_a . dd_i . E_b.
+/// Species alpha's element entry is then ck_alpha CK + cd_alpha CD.
+LANDAU_DEVICE inline ElementPair contract_pair(const fem::Tabulation& tab, const PointCoeffs* p,
+                                               int a, int b) {
+  ElementPair e;
+  for (int i = 0; i < tab.n_quad(); ++i) {
+    const double ear = tab.E(i, a, 0);
+    const double eaz = tab.E(i, a, 1);
+    e.d += (ear * p[i].dd00 + eaz * p[i].dd01) * tab.E(i, b, 0) +
+           (ear * p[i].dd01 + eaz * p[i].dd11) * tab.E(i, b, 1);
+    e.k += (ear * p[i].kk_r + eaz * p[i].kk_z) * tab.B(i, b);
+  }
+  return e;
+}
+
+/// Flops of one cell's Transform & Assemble: transform_point (14 per point),
+/// contract_pair (15 per pair and point) and ck CK + cd CD (3 per species
+/// entry).
+inline constexpr std::int64_t transform_assemble_flops(int nq, int nb, int ns) {
+  const std::int64_t pairs = static_cast<std::int64_t>(nb) * nb;
+  return 14 * static_cast<std::int64_t>(nq) + 15 * pairs * nq + 3 * pairs * ns;
+}
+
+/// DRAM bytes of one cell's Transform & Assemble: the ns element matrices
+/// it hands to the global assembly, written and read back once each.
+inline constexpr std::int64_t transform_assemble_dram(int nb, int ns) {
+  return static_cast<std::int64_t>(ns) * nb * nb * 8 * 2;
 }
 
 } // namespace landau::detail

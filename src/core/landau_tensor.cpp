@@ -6,6 +6,45 @@
 #include "util/special_math.h"
 
 namespace landau {
+namespace detail {
+
+// The row loop's two ISA clones. Both compile the one inline body; the AVX2
+// clone's target attribute widens the `omp simd` loop to 4 doubles, and
+// flatten keeps every call in it inlined at that width. FMA is enabled with
+// AVX2 only because every AVX2 host has it: -ffp-contract=off (the kernel
+// units' flags) keeps it from changing any product-sum.
+
+LANDAU_DEVICE InnerAccum inner_row_baseline(double ri, double zi, const SourceRun& src) {
+  return inner_row_body(ri, zi, src);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2,fma"), gnu::flatten]] LANDAU_DEVICE InnerAccum
+inner_row_avx2(double ri, double zi, const SourceRun& src) {
+  return inner_row_body(ri, zi, src);
+}
+#endif
+
+bool row_loop_avx2() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool supported =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return supported;
+#else
+  return false;
+#endif
+}
+
+LANDAU_DEVICE InnerAccum inner_row(double ri, double zi, const SourceRun& src) {
+#if defined(__x86_64__) || defined(__i386__)
+  static const auto row_loop = row_loop_avx2() ? inner_row_avx2 : inner_row_baseline;
+  return row_loop(ri, zi, src);
+#else
+  return inner_row_baseline(ri, zi, src);
+#endif
+}
+
+} // namespace detail
 
 LANDAU_DEVICE void landau_tensor_2d(double r, double z, double rp, double zp, Tensor2* uk,
                                     Tensor2* ud) noexcept {

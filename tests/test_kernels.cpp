@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <vector>
 
+#include "core/kernel_math.h"
 #include "core/operator.h"
+#include "fem/tabulation.h"
 #include "util/special_math.h"
 
 using namespace landau;
@@ -214,4 +219,54 @@ TEST(Kernels, AdvectionShiftsMomentumNotDensity) {
   la::Vec z_fn = op.project([](int, double, double z) { return z; });
   EXPECT_GT(std::abs(z_fn.dot(af)), 1e-6);
   EXPECT_LT(std::abs(density_rate), 1e-6 * std::abs(z_fn.dot(af)));
+}
+
+TEST(Kernels, SpeciesFactoredTransformMatchesPerSpeciesFormula) {
+  // Transform & Assemble contracts CK and CD once per cell and scales them by
+  // ck = nu0 q^2/m and cd = -nu0 q^2/m^2; the per-species formula it replaced
+  // (written out below) scaled every point coefficient first and contracted
+  // once per species. Random reduced integrals on one Q3 cell, ten species
+  // with distinct q^2/m.
+  const fem::Tabulation tab(3);
+  const int nq = tab.n_quad(), nb = tab.n_basis();
+  const SpeciesSet species = SpeciesSet::tungsten_plasma();
+  const double nu0 = 1.7;
+  const double jinv0 = 2.0 / 0.35, jinv1 = 2.0 / 0.6;
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<double> ug(-1.0, 1.0), uw(1e-3, 1e-2);
+  std::vector<detail::InnerAccum> g(static_cast<std::size_t>(nq));
+  std::vector<double> wi(static_cast<std::size_t>(nq));
+  std::vector<detail::PointCoeffs> p(static_cast<std::size_t>(nq));
+  for (int i = 0; i < nq; ++i) {
+    auto& gi = g[static_cast<std::size_t>(i)];
+    gi = {ug(rng), ug(rng), 1.0 + ug(rng), 0.3 * ug(rng), 1.0 + ug(rng)};
+    wi[static_cast<std::size_t>(i)] = uw(rng);
+    p[static_cast<std::size_t>(i)] =
+        detail::transform_point(gi, jinv0, jinv1, wi[static_cast<std::size_t>(i)]);
+  }
+  for (int s = 0; s < species.size(); ++s) {
+    const double q = species[s].charge, m = species[s].mass;
+    const double ck = nu0 * q * q / m, cd = -nu0 * q * q / (m * m);
+    double diff = 0.0, scale = 0.0;
+    for (int a = 0; a < nb; ++a)
+      for (int b = 0; b < nb; ++b) {
+        double ref = 0.0;
+        for (int i = 0; i < nq; ++i) {
+          const auto& gi = g[static_cast<std::size_t>(i)];
+          const double w2pi = 2.0 * kPi * wi[static_cast<std::size_t>(i)];
+          const double kk_r = jinv0 * ck * gi.gk_r * w2pi, kk_z = jinv1 * ck * gi.gk_z * w2pi;
+          const double dd00 = jinv0 * jinv0 * cd * gi.gd00 * w2pi;
+          const double dd01 = jinv0 * jinv1 * cd * gi.gd01 * w2pi;
+          const double dd11 = jinv1 * jinv1 * cd * gi.gd11 * w2pi;
+          const double ear = tab.E(i, a, 0), eaz = tab.E(i, a, 1);
+          ref += (ear * dd00 + eaz * dd01) * tab.E(i, b, 0) +
+                 (ear * dd01 + eaz * dd11) * tab.E(i, b, 1) + (ear * kk_r + eaz * kk_z) * tab.B(i, b);
+        }
+        const detail::ElementPair e = detail::contract_pair(tab, p.data(), a, b);
+        diff = std::max(diff, std::abs(ck * e.k + cd * e.d - ref));
+        scale = std::max(scale, std::abs(ref));
+      }
+    EXPECT_GT(scale, 0.0) << species[s].name;
+    EXPECT_LE(diff, 1e-13 * scale) << species[s].name;
+  }
 }

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "core/kernel_math.h"
@@ -15,6 +20,12 @@ namespace {
 struct PointPair {
   double r, z, rp, zp;
 };
+
+std::string scientific(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3e", v);
+  return buf;
+}
 
 const PointPair kPairs[] = {
     {1.0, 0.5, 0.7, -0.3}, {0.2, 2.0, 1.5, 1.9},  {3.0, -1.0, 0.1, 0.0},
@@ -221,20 +232,14 @@ double fast_path_error(double r, double z, double rp, double zp) {
   return std::sqrt(num / den);
 }
 
-} // namespace
-
-TEST(LandauTensorFastPath, MatchesEllipticClosedForm) {
-  double worst = 0.0;
-  auto check = [&](double r, double z, double rp, double zp) {
-    const double e = fast_path_error(r, z, rp, zp);
-    worst = std::max(worst, e);
-    EXPECT_LE(e, 1e-13) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
-  };
+/// The pair sweep of the fast-path checks: the axis, both sides of the
+/// series switchover, near-diagonal, far-field and a general scatter.
+template <class F> void for_each_sweep_pair(F&& visit) {
   // The axis: field or source point at r = 0 (s = 0, series side).
   for (double z : {-3.0, -0.4, 0.0, 0.7, 2.5})
     for (double r : {0.05, 0.6, 1.3, 4.0}) {
-      check(0.0, z, r, 0.25);
-      check(r, 0.25, 0.0, z);
+      visit(0.0, z, r, 0.25);
+      visit(r, 0.25, 0.0, z);
     }
   // Both sides of the series switchover at s = 1e-3.
   const double z0 = 0.3, zp0 = -0.4, rp0 = 1.0, dz2 = (z0 - zp0) * (z0 - zp0);
@@ -242,23 +247,34 @@ TEST(LandauTensorFastPath, MatchesEllipticClosedForm) {
     const double s = 1e-4 * std::pow(1e2, k / 400.0); // 1e-4 .. 1e-2
     double r = s; // fixed point of r = s (r^2 + rp^2 + dz^2) / (2 rp)
     for (int it = 0; it < 100; ++it) r = s * (r * r + rp0 * rp0 + dz2) / (2.0 * rp0);
-    check(r, z0, rp0, zp0);
-    check(rp0, zp0, r, z0);
+    visit(r, z0, rp0, zp0);
+    visit(rp0, zp0, r, z0);
   }
   // Near-diagonal pairs, relative separation 1e-1 .. 1e-6 in several directions.
   for (double r : {0.02, 0.5, 1.7, 4.9})
     for (int e = 1; e <= 6; ++e)
       for (double ang : {0.0, 0.7, 1.9, 3.1, 4.4}) {
         const double d = r * std::pow(10.0, -e);
-        check(r, -0.3, r + d * std::cos(ang), -0.3 + d * std::sin(ang));
+        visit(r, -0.3, r + d * std::cos(ang), -0.3 + d * std::sin(ang));
       }
   // Far field and a general scatter over the velocity box.
   for (double rp : {10.0, 30.0, 50.0})
-    for (double zp : {-45.0, 0.0, 45.0}) check(0.9, 0.1, rp, zp);
+    for (double zp : {-45.0, 0.0, 45.0}) visit(0.9, 0.1, rp, zp);
   for (int i = 0; i < 25; ++i)
     for (int j = 0; j < 25; ++j)
-      check(0.2 * i, -2.5 + 0.21 * j, 0.17 * j + 0.05, 2.4 - 0.19 * i);
-  RecordProperty("worst_normwise_error", std::to_string(worst));
+      visit(0.2 * i, -2.5 + 0.21 * j, 0.17 * j + 0.05, 2.4 - 0.19 * i);
+}
+
+} // namespace
+
+TEST(LandauTensorFastPath, MatchesEllipticClosedForm) {
+  double worst = 0.0;
+  for_each_sweep_pair([&](double r, double z, double rp, double zp) {
+    const double e = fast_path_error(r, z, rp, zp);
+    worst = std::max(worst, e);
+    EXPECT_LE(e, 1e-13) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+  });
+  RecordProperty("worst_normwise_error", scientific(worst));
 }
 
 TEST(LandauTensorFastPath, CoincidentPointsGiveExactZero) {
@@ -316,3 +332,125 @@ TEST(LandauTensorFastPath, RowLoopMatchesPairwiseSum) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// The row loop's ISA clones (inner_row_baseline, inner_row_avx2)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using RowLoop = detail::InnerAccum (*)(double, double, const detail::SourceRun&);
+
+/// The clone for `isa` (0 = baseline, 1 = AVX2), or nullptr when this host
+/// cannot run it.
+RowLoop row_loop_clone(int isa) {
+  if (isa == 0) return detail::inner_row_baseline;
+#if defined(__x86_64__) || defined(__i386__)
+  if (detail::row_loop_avx2()) return detail::inner_row_avx2;
+#endif
+  return nullptr;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// (G_K, G_D) of field point (ri, zi) over a run of source points, summed
+/// in order from the branchy elliptic_ke closed form.
+detail::InnerAccum closed_form_row(double ri, double zi, const detail::SourceRun& src) {
+  detail::InnerAccum g;
+  for (std::size_t q = 0; q < src.count; ++q) {
+    const std::size_t k = q * src.stride;
+    Tensor2 uk, ud;
+    closed_form_reference(ri, zi, src.r[k], src.z[k], &uk, &ud);
+    const double wj = src.w[k];
+    g.gk_r += wj * (uk.m[0][0] * src.tk_r[k] + uk.m[0][1] * src.tk_z[k]);
+    g.gk_z += wj * (uk.m[1][0] * src.tk_r[k] + uk.m[1][1] * src.tk_z[k]);
+    g.gd00 += wj * src.td[k] * ud.m[0][0];
+    g.gd01 += wj * src.td[k] * ud.m[0][1];
+    g.gd11 += wj * src.td[k] * ud.m[1][1];
+  }
+  return g;
+}
+
+/// Normwise relative error of the five sums of `g` against `ref`.
+double accum_error(const detail::InnerAccum& g, const detail::InnerAccum& ref) {
+  const double d[5] = {g.gk_r - ref.gk_r, g.gk_z - ref.gk_z, g.gd00 - ref.gd00,
+                       g.gd01 - ref.gd01, g.gd11 - ref.gd11};
+  const double v[5] = {ref.gk_r, ref.gk_z, ref.gd00, ref.gd01, ref.gd11};
+  double num = 0.0, den = 0.0;
+  for (int c = 0; c < 5; ++c) {
+    num += d[c] * d[c];
+    den += v[c] * v[c];
+  }
+  return std::sqrt(num / den);
+}
+
+} // namespace
+
+TEST(RowLoopIsa, ClonesAgreeBitwiseOnSinglePairs) {
+  // With count = 1 there is no reduction to reorder, and with contraction
+  // off both clones do the same IEEE operations per pair.
+  const RowLoop avx2 = row_loop_clone(1);
+  if (!avx2) GTEST_SKIP() << "host lacks AVX2 or FMA";
+  std::size_t pairs = 0;
+  for_each_sweep_pair([&](double r, double z, double rp, double zp) {
+    const double w = 1.3e-3, tkr = 0.7, tkz = -0.45, td = 1.9;
+    const detail::SourceRun one{&rp, &zp, &w, &tkr, &tkz, &td, 1, 1};
+    const detail::InnerAccum b = detail::inner_row_baseline(r, z, one);
+    const detail::InnerAccum v = avx2(r, z, one);
+    EXPECT_EQ(bits(b.gk_r), bits(v.gk_r)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+    EXPECT_EQ(bits(b.gk_z), bits(v.gk_z)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+    EXPECT_EQ(bits(b.gd00), bits(v.gd00)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+    EXPECT_EQ(bits(b.gd01), bits(v.gd01)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+    EXPECT_EQ(bits(b.gd11), bits(v.gd11)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+    ++pairs;
+  });
+  RecordProperty("pairs", std::to_string(pairs));
+}
+
+class RowLoopIsaRuns : public ::testing::TestWithParam<int> {};
+
+TEST_P(RowLoopIsaRuns, MatchClosedFormOnContiguousAndStridedRuns) {
+  // Runs as the back-ends issue them: cuda-sim's 32-pair lane runs (stride
+  // 16 through a 512-point tile), contiguous 32-pair runs, and a long
+  // stride-3 run as a kokkos-sim lane reads. The source points include the
+  // axis and the field point itself (the coincident-point guard).
+  const RowLoop loop = row_loop_clone(GetParam());
+  if (!loop) GTEST_SKIP() << "host lacks AVX2 or FMA";
+  constexpr std::size_t n = 512;
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> ur(0.0, 4.0), uz(-4.0, 4.0), uw(0.5e-3, 1.5e-3),
+      ut(0.2, 1.0);
+  std::vector<double> r(n), z(n), w(n), sums(3 * n);
+  for (std::size_t k = 0; k < n; ++k) {
+    r[k] = k % 37 == 0 ? 0.0 : ur(rng);
+    z[k] = uz(rng);
+    w[k] = uw(rng);
+    sums[k] = ut(rng);         // tk_r
+    sums[n + k] = -ut(rng);    // tk_z
+    sums[2 * n + k] = ut(rng); // td
+  }
+  struct Run {
+    std::size_t first, count, stride;
+  };
+  const Run runs[] = {{0, 32, 16}, {5, 32, 16}, {15, 32, 16}, {0, 32, 1},
+                      {100, 32, 1}, {480, 32, 1}, {1, 170, 3}, {0, 512, 1}};
+  double worst = 0.0;
+  for (const Run& run : runs)
+    for (std::size_t i : {std::size_t{0}, std::size_t{5}, std::size_t{37}, std::size_t{200},
+                          std::size_t{481}}) {
+      const detail::SourceRun src{r.data() + run.first,         z.data() + run.first,
+                                  w.data() + run.first,         sums.data() + run.first,
+                                  sums.data() + n + run.first,  sums.data() + 2 * n + run.first,
+                                  run.count,                    run.stride};
+      const double e = accum_error(loop(r[i], z[i], src), closed_form_row(r[i], z[i], src));
+      worst = std::max(worst, e);
+      EXPECT_LE(e, 1e-13) << "i=" << i << " first=" << run.first << " count=" << run.count
+                          << " stride=" << run.stride;
+    }
+  RecordProperty("worst_normwise_error", scientific(worst));
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, RowLoopIsaRuns, ::testing::Values(0, 1),
+                         [](const ::testing::TestParamInfo<int>& p) {
+                           return p.param == 0 ? std::string("Baseline") : std::string("Avx2");
+                         });
