@@ -1,5 +1,5 @@
 // Google-benchmark microbenchmarks of the hot kernels: elliptic integrals,
-// the 2D Landau tensor, the inner-integral row loop (dispatched, and each
+// the 2D Landau tensor, the inner integral's pair loop (dispatched, and each
 // ISA clone), Transform & Assemble of one cell, banded LU (on a dense
 // random band and on real Landau Newton matrices), RCM, sparse matvec, and
 // the full element kernel on each back-end.
@@ -42,15 +42,18 @@ static void BM_LandauTensor2D(benchmark::State& state) {
 BENCHMARK(BM_LandauTensor2D);
 
 static void BM_InnerPoint(benchmark::State& state) {
-  // The inner integral as the kernels run it: stage the species sums of 512
-  // source points, then 16 field points' row loops over them (one Q3
-  // element's worth). Reports ns per (i, j) pair, staging included.
+  // The inner integral as the kernels run it: stage the weighted species
+  // sums of 512 source points, then 16 field points' pair loops over them
+  // (one Q3 cell against a 512-point source list), each pair adding its
+  // transposed terms into the column sums. Reports ns per unordered (i, j)
+  // pair, staging included.
   const int ns = static_cast<int>(state.range(0));
   constexpr std::size_t kPoints = 512;
   constexpr std::size_t kRows = 16;
   std::mt19937 rng(3);
   std::uniform_real_distribution<double> ur(0.0, 4.0), uz(-4.0, 4.0), uf(0.1, 1.0);
   std::vector<double> r(kPoints), z(kPoints), w(kPoints), sums(3 * kPoints);
+  std::vector<double> col(detail::kGDoubles * kPoints);
   std::vector<double> f(static_cast<std::size_t>(ns) * kPoints), dfr(f.size()), dfz(f.size());
   std::vector<double> q2(static_cast<std::size_t>(ns), 1.0), qm(static_cast<std::size_t>(ns), 0.1);
   for (std::size_t k = 0; k < kPoints; ++k) {
@@ -63,20 +66,26 @@ static void BM_InnerPoint(benchmark::State& state) {
     dfr[k] = -uf(rng);
     dfz[k] = uf(rng) - 0.5;
   }
+  const double* s = sums.data();
+  double* c = col.data();
+  const detail::PointRun run{r.data(), z.data(), s, s + kPoints, s + 2 * kPoints, kPoints};
+  const detail::ColumnSums cols{c, c + kPoints, c + 2 * kPoints, c + 3 * kPoints, c + 4 * kPoints};
   for (auto _ : state) {
     for (std::size_t k = 0; k < kPoints; ++k) {
-      const auto t = detail::species_sums(&f[k], &dfr[k], &dfz[k], kPoints, ns, q2.data(),
-                                          qm.data());
+      const auto t = detail::weighted(
+          detail::species_sums(&f[k], &dfr[k], &dfz[k], kPoints, ns, q2.data(), qm.data()), w[k]);
       sums[k] = t.tk_r;
       sums[kPoints + k] = t.tk_z;
       sums[2 * kPoints + k] = t.td;
     }
+    std::fill(col.begin(), col.end(), 0.0);
     detail::InnerAccum acc;
     for (std::size_t i = 0; i < kRows; ++i)
-      acc += detail::inner_row(r[i], z[i],
-                               {r.data(), z.data(), w.data(), sums.data(),
-                                sums.data() + kPoints, sums.data() + 2 * kPoints, kPoints, 1});
+      acc += detail::pair_row({r[i], z[i], sums[i], sums[kPoints + i], sums[2 * kPoints + i]},
+                              run, cols);
     benchmark::DoNotOptimize(acc.gd00);
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
   }
   const double pairs = static_cast<double>(kRows * kPoints);
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pairs));
@@ -86,40 +95,48 @@ static void BM_InnerPoint(benchmark::State& state) {
 BENCHMARK(BM_InnerPoint)->Arg(1)->Arg(2)->Arg(10);
 
 static void BM_InnerRowIsa(benchmark::State& state) {
-  // One row-loop clone (0 = baseline, 1 = AVX2) over the runs cuda-sim
-  // issues for one Q3 cell and one 512-point tile: 16 field points x 16
-  // lanes, each lane a 32-pair run at stride 16. Reports ns per (i, j) pair.
-  using RowLoop = detail::InnerAccum (*)(double, double, const detail::SourceRun&);
-  RowLoop loop = detail::inner_row_baseline;
+  // One pair-loop clone (0 = baseline, 1 = AVX2) over the runs cuda-sim
+  // issues for one Q3 cell and a 512-point source tile: 16 field points x 16
+  // lanes, each lane a contiguous 32-point chunk with its column sums.
+  // Reports ns per unordered (i, j) pair.
+  using PairLoop = detail::InnerAccum (*)(const detail::FieldPoint&, const detail::PointRun&,
+                                          const detail::ColumnSums&);
+  PairLoop loop = detail::pair_row_baseline;
   if (state.range(0) == 1) {
 #if defined(__x86_64__) || defined(__i386__)
-    if (detail::row_loop_avx2()) loop = detail::inner_row_avx2;
+    if (detail::pair_loop_avx2()) loop = detail::pair_row_avx2;
 #endif
-    if (loop == detail::inner_row_baseline) {
+    if (loop == detail::pair_row_baseline) {
       state.SkipWithError("host lacks AVX2 or FMA");
       return;
     }
   }
-  constexpr std::size_t kTile = 512, kRows = 16, kLanes = 16;
+  constexpr std::size_t kTile = 512, kRows = 16, kLanes = 16, kChunk = kTile / kLanes;
   std::mt19937 rng(3);
   std::uniform_real_distribution<double> ur(0.0, 4.0), uz(-4.0, 4.0), uf(0.1, 1.0);
-  std::vector<double> r(kTile), z(kTile), w(kTile), sums(3 * kTile);
+  std::vector<double> r(kTile), z(kTile), sums(3 * kTile), col(detail::kGDoubles * kTile, 0.0);
   for (std::size_t k = 0; k < kTile; ++k) {
     r[k] = ur(rng);
     z[k] = uz(rng);
-    w[k] = 1e-3 * uf(rng);
-    sums[k] = uf(rng);
-    sums[kTile + k] = uf(rng) - 0.5;
-    sums[2 * kTile + k] = uf(rng);
+    sums[k] = 1e-3 * uf(rng);
+    sums[kTile + k] = 1e-3 * (uf(rng) - 0.5);
+    sums[2 * kTile + k] = 1e-3 * uf(rng);
   }
+  const double* s = sums.data();
+  double* c = col.data();
   for (auto _ : state) {
     detail::InnerAccum acc;
-    for (std::size_t i = 0; i < kRows; ++i)
-      for (std::size_t x = 0; x < kLanes; ++x)
-        acc += loop(r[i], z[i],
-                    {r.data() + x, z.data() + x, w.data() + x, sums.data() + x,
-                     sums.data() + kTile + x, sums.data() + 2 * kTile + x, kTile / kLanes, kLanes});
+    for (std::size_t i = 0; i < kRows; ++i) {
+      const detail::FieldPoint f{r[i], z[i], s[i], s[kTile + i], s[2 * kTile + i]};
+      for (std::size_t x = 0; x < kLanes; ++x) {
+        const std::size_t o = x * kChunk;
+        acc += loop(f, {r.data() + o, z.data() + o, s + o, s + kTile + o, s + 2 * kTile + o, kChunk},
+                    {c + o, c + kTile + o, c + 2 * kTile + o, c + 3 * kTile + o, c + 4 * kTile + o});
+      }
+    }
     benchmark::DoNotOptimize(acc.gd00);
+    benchmark::DoNotOptimize(col.data());
+    benchmark::ClobberMemory();
   }
   const double pairs = static_cast<double>(kRows * kTile);
   state.SetLabel(state.range(0) == 1 ? "avx2" : "baseline");

@@ -32,7 +32,7 @@ void assemble_advection(const JacobianContext& ctx, double e_z, la::CsrMatrix& j
         }
       }
     }
-    detail::assemble_element(ctx, cell, ce, j);
+    detail::assemble_element(ctx, cell, ce.view(), j, j.values());
   }
 }
 

@@ -63,60 +63,75 @@ la::SparsityPattern landau_jacobian_sparsity(const fem::FESpace& fes, int n_spec
 namespace detail {
 
 LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell,
-                                    const ElementMatrices& ce, la::CsrMatrix& j,
-                                    const exec::check::checked_span<double>* chk) {
-  using exec::check::Kind;
-  const bool checked = chk && chk->active();
+                                    const ElementBlock& ce, const la::CsrMatrix& j,
+                                    const exec::check::checked_span<double>& out) {
   const auto& dm = ctx.fes->dofmap();
   const auto nodes = dm.cell_nodes(cell);
   const int nb = ce.nb;
+  const int ns = ce.n_species;
   if (ctx.coo_values) {
     // COO sink: stream every (closure-expanded) element value into this
     // cell's fixed slot range — disjoint per cell, so no atomics are needed.
-    const std::size_t base = (*ctx.coo_cell_offsets)[cell];
-    double* out = ctx.coo_values->data() + base;
-    std::size_t k = 0;
+    // Slot order is species, a, b, then the closure pair; one species spans
+    // (sum_a |closure(a)|)^2 slots.
     LANDAU_ASSERT(!ctx.grid_species, "COO assembly supports single-grid operators only");
-    for (int s = 0; s < ce.n_species; ++s)
-      for (int a = 0; a < nb; ++a) {
-        const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
-        for (int b = 0; b < nb; ++b) {
-          const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
-          const double v = ce.at(s, a, b);
-          for (const auto& [di, wi] : ca) {
-            (void)di;
-            for (const auto& [dj, wj] : cb) {
-              (void)dj;
-              if (checked) chk->note(base + k, Kind::Write);
-              out[k++] = wi * wj * v;
-            }
-          }
-        }
-      }
-    return;
-  }
-  for (int s = 0; s < ce.n_species; ++s) {
-    if (!ctx.species_on_grid(s)) continue; // dofs live on another grid (§III-H)
-    const std::size_t off = ctx.block_offset(s);
+    const std::size_t base = (*ctx.coo_cell_offsets)[cell];
+    std::size_t per_species = 0;
+    for (int a = 0; a < nb; ++a) per_species += dm.closure(nodes[static_cast<std::size_t>(a)]).size();
+    per_species *= per_species;
+    std::size_t k = base;
     for (int a = 0; a < nb; ++a) {
       const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
       for (int b = 0; b < nb; ++b) {
-        const double v = ce.at(s, a, b);
-        if (fp::exact_eq(v, 0.0)) continue; // sparsity skip: bitwise compare intended
         const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
-        for (const auto& [di, wi] : ca)
+        for (const auto& [di, wi] : ca) {
+          (void)di;
           for (const auto& [dj, wj] : cb) {
-            const double contrib = wi * wj * v;
-            const std::size_t gi = off + static_cast<std::size_t>(di);
-            const std::size_t gj = off + static_cast<std::size_t>(dj);
-            if (ctx.atomic_assembly)
-              j.add_atomic(gi, gj, contrib);
-            else
-              j.add(gi, gj, contrib);
-            if (checked)
-              chk->note(j.entry_index(gi, gj), ctx.atomic_assembly ? Kind::Atomic : Kind::Write);
+            (void)dj;
+            const double w = wi * wj;
+            for (int s = 0; s < ns; ++s)
+              out[k + static_cast<std::size_t>(s) * per_species] = w * ce.at(s, a, b);
+            ++k;
           }
+        }
       }
+    }
+    return;
+  }
+  const auto rowptr = j.row_offsets();
+  const auto colind = j.col_indices();
+  int s0 = 0; // first species with dofs on this grid (§III-H)
+  while (s0 < ns && !ctx.species_on_grid(s0)) ++s0;
+  if (s0 == ns) return;
+  const std::size_t off0 = ctx.block_offset(s0);
+  for (int a = 0; a < nb; ++a) {
+    const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
+    for (int b = 0; b < nb; ++b) {
+      const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
+      for (const auto& [di, wi] : ca)
+        for (const auto& [dj, wj] : cb) {
+          // Position of column dj within row di, the same in every species
+          // block; each species adds its row offset.
+          const std::size_t row0 = off0 + static_cast<std::size_t>(di);
+          const std::size_t pos =
+              j.entry_index(row0, off0 + static_cast<std::size_t>(dj)) -
+              static_cast<std::size_t>(rowptr[row0]);
+          const double w = wi * wj;
+          for (int s = s0; s < ns; ++s) {
+            if (!ctx.species_on_grid(s)) continue; // dofs live on another grid (§III-H)
+            const double v = ce.at(s, a, b);
+            if (fp::exact_eq(v, 0.0)) continue; // sparsity skip: bitwise compare intended
+            const std::size_t off = ctx.block_offset(s);
+            const std::size_t k =
+                static_cast<std::size_t>(rowptr[off + static_cast<std::size_t>(di)]) + pos;
+            LANDAU_ASSERT(static_cast<std::size_t>(colind[k]) == off + static_cast<std::size_t>(dj),
+                          "species blocks of the Jacobian must share one sparsity pattern");
+            if (ctx.atomic_assembly)
+              out.atomic_add(k, w * v);
+            else
+              out.plain_add(k, w * v);
+          }
+        }
     }
   }
 }
@@ -130,55 +145,91 @@ std::vector<double> stage_species_sums(const JacobianContext& ctx,
   namespace check = exec::check;
   check::KernelScope chk("landau:species-sums", /*concurrent_blocks=*/false);
   std::vector<double> sums(3 * n);
+  auto ref_w = chk.in(std::span<const double>(ip.w), "ip.w");
   auto ref_f = chk.in(std::span<const double>(ip.f), "ip.f");
   auto ref_dfr = chk.in(std::span<const double>(ip.dfr), "ip.dfr");
   auto ref_dfz = chk.in(std::span<const double>(ip.dfz), "ip.dfz");
   auto ref_out = chk.out(std::span<double>(sums), "species_sums", /*initialized=*/false);
   check::ThreadCtx tc;
   tc.session = chk.session();
-  check::checked_span<const double> gf(ref_f, &tc), gdfr(ref_dfr, &tc), gdfz(ref_dfz, &tc);
+  check::checked_span<const double> gw(ref_w, &tc), gf(ref_f, &tc), gdfr(ref_dfr, &tc),
+      gdfz(ref_dfz, &tc);
   check::checked_span<double> gout(ref_out, &tc);
   for (std::size_t k = 0; k < n; ++k) {
-    const SpeciesSums t =
+    const SpeciesSums t = weighted(
         species_sums(gf.read_strided(k, ns, n), gdfr.read_strided(k, ns, n),
                      gdfz.read_strided(k, ns, n), n, ctx.species->size(), ctx.q2.data(),
-                     ctx.q2_over_m.data());
+                     ctx.q2_over_m.data()),
+        gw[k]);
     gout[k] = t.tk_r;
     gout[n + k] = t.tk_z;
     gout[2 * n + k] = t.td;
   }
   exec::CounterScope scope(counters);
-  scope.flops(static_cast<std::int64_t>(n) * species_sum_flops(ctx.species->size()));
-  scope.dram(static_cast<std::int64_t>(n * (3 * ns + 3)) * 8);
+  scope.flops(static_cast<std::int64_t>(n) * staged_point_flops(ctx.species->size()));
+  scope.dram(static_cast<std::int64_t>(n * (3 * ns + 4)) * 8);
   chk.finish();
   return sums;
 }
 
-void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
+void landau_inner_cpu(const JacobianContext& ctx, std::span<double> g,
+                      exec::KernelCounters* counters);
+void landau_inner_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, std::span<double> g,
                        exec::KernelCounters* counters);
-void landau_kernel_cuda(exec::ThreadPool& pool, const JacobianContext& ctx, la::CsrMatrix& j,
-                        exec::KernelCounters* counters);
-void landau_kernel_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, la::CsrMatrix& j,
+void landau_inner_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx, std::span<double> g,
+                         exec::KernelCounters* counters);
+void landau_assemble_cpu(const JacobianContext& ctx, std::span<const double> g, la::CsrMatrix& j,
+                         exec::KernelCounters* counters);
+void landau_assemble_cuda(exec::ThreadPool& pool, const JacobianContext& ctx,
+                          std::span<const double> g, la::CsrMatrix& j,
                           exec::KernelCounters* counters);
+void landau_assemble_kokkos(exec::ThreadPool& pool, const JacobianContext& ctx,
+                            std::span<const double> g, la::CsrMatrix& j,
+                            exec::KernelCounters* counters);
 
 } // namespace detail
 
-void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
-                              const JacobianContext& ctx, la::CsrMatrix& j,
-                              exec::KernelCounters* counters) {
+void landau_inner_integral(Backend backend, exec::ThreadPool& pool, const JacobianContext& ctx,
+                           std::vector<double>& g, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ctx.fes && ctx.species && ctx.ip, "JacobianContext not initialized");
-  if (!ctx.species_offsets)
-    LANDAU_ASSERT(j.rows() == ctx.n_free() * static_cast<std::size_t>(ctx.species->size()),
-                  "Jacobian size mismatch");
+  const std::size_t n = ctx.ip->n;
+  const auto nq = static_cast<std::size_t>(ctx.fes->tabulation().n_quad());
+  LANDAU_ASSERT(n % nq == 0, "packed points (" << n << ") are not whole cells of " << nq);
+  g.assign(detail::kGDoubles * n, 0.0);
+  switch (backend) {
+    case Backend::Cpu: detail::landau_inner_cpu(ctx, g, counters); break;
+    case Backend::CudaSim: detail::landau_inner_cuda(pool, ctx, g, counters); break;
+    case Backend::KokkosSim: detail::landau_inner_kokkos(pool, ctx, g, counters); break;
+  }
+}
+
+void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
+                              std::span<const JacobianContext> grids, std::vector<double>& g,
+                              la::CsrMatrix& j, exec::KernelCounters* counters) {
+  LANDAU_ASSERT(!grids.empty(), "no grid to assemble");
+  const JacobianContext& first = grids.front();
+  LANDAU_ASSERT(first.fes && first.species && first.ip, "JacobianContext not initialized");
+  std::size_t cells = 0;
+  for (const auto& ctx : grids) {
+    LANDAU_ASSERT(ctx.ip == first.ip && ctx.species == first.species,
+                  "grids of one operator share the packed points and species");
+    if (!ctx.species_offsets)
+      LANDAU_ASSERT(j.rows() == ctx.n_free() * static_cast<std::size_t>(ctx.species->size()),
+                    "Jacobian size mismatch");
+    cells += ctx.fes->n_cells();
+  }
   ScopedEvent ev("landau:jacobian-kernel");
   obs::TraceSpan span("landau:jacobian",
-                      {{"species", ctx.species->size()},
-                       {"cells", ctx.fes->n_cells()},
-                       {"ip_points", ctx.ip->n}});
-  switch (backend) {
-    case Backend::Cpu: detail::landau_kernel_cpu(ctx, j, counters); break;
-    case Backend::CudaSim: detail::landau_kernel_cuda(pool, ctx, j, counters); break;
-    case Backend::KokkosSim: detail::landau_kernel_kokkos(pool, ctx, j, counters); break;
+                      {{"species", first.species->size()},
+                       {"cells", cells},
+                       {"ip_points", first.ip->n}});
+  landau_inner_integral(backend, pool, first, g, counters);
+  for (const auto& ctx : grids) {
+    switch (backend) {
+      case Backend::Cpu: detail::landau_assemble_cpu(ctx, g, j, counters); break;
+      case Backend::CudaSim: detail::landau_assemble_cuda(pool, ctx, g, j, counters); break;
+      case Backend::KokkosSim: detail::landau_assemble_kokkos(pool, ctx, g, j, counters); break;
+    }
   }
   if (counters) {
     // Arithmetic intensity is cumulative over the counters' life — a property
@@ -186,6 +237,14 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
     static obs::Gauge& ai = obs::MetricsRegistry::instance().gauge("kernel.jacobian.ai");
     ai.set(counters->arithmetic_intensity());
   }
+}
+
+void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
+                              const JacobianContext& ctx, la::CsrMatrix& j,
+                              exec::KernelCounters* counters) {
+  std::vector<double> g;
+  assemble_landau_jacobian(backend, pool, std::span<const JacobianContext>(&ctx, 1), g, j,
+                           counters);
 }
 
 CooJacobianAssembler::CooJacobianAssembler(const fem::FESpace& fes, int n_species) {
@@ -225,7 +284,8 @@ void CooJacobianAssembler::assemble(Backend backend, exec::ThreadPool& pool, Jac
                                     exec::KernelCounters* counters) {
   ctx.coo_values = &values_;
   ctx.coo_cell_offsets = &cell_offsets_;
-  assemble_landau_jacobian(backend, pool, ctx, coo_->matrix(), counters);
+  assemble_landau_jacobian(backend, pool, std::span<const JacobianContext>(&ctx, 1), g_,
+                           coo_->matrix(), counters);
   coo_->assemble(values_);
 }
 
@@ -280,7 +340,7 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
       for (int a = 0; a < nb; ++a)
         for (int b = 0; b < nb; ++b) all.at(s, a, b) = ce.at(0, a, b);
     scope.dram(static_cast<std::int64_t>(ns) * nb * nb * 8 * 2); // write + RMW traffic
-    detail::assemble_element(ctx, cell, all, j, ov.active() ? &ov : nullptr);
+    detail::assemble_element(ctx, cell, all.view(), j, ov);
   });
   chk.finish();
   if (counters) {

@@ -3,13 +3,19 @@
 // (Algorithm 1) in three implementations sharing one context:
 //
 //  * Backend::Cpu       — plain loops (the "common CPU code" reference),
-//  * Backend::CudaSim   — Algorithm 1 on the emulated CUDA model: one element
-//                         per block, integration points on threadIdx.y,
-//                         warp-shuffle reduction across threadIdx.x, shared
-//                         memory staging, atomic global assembly,
+//  * Backend::CudaSim   — Algorithm 1 on the emulated CUDA model: shared
+//                         memory staging, warp-shuffle reductions across
+//                         threadIdx.x, atomic global accumulation,
 //  * Backend::KokkosSim — the Kokkos formulation: league member per element,
-//                         team threads over integration points, vector-lane
-//                         parallel_reduce on a (G_K, G_D) reducer object.
+//                         vector-lane parallel_reduce on a (G_K, G_D) reducer
+//                         object, team-parallel Transform & Assemble.
+//
+// Each back-end runs two launches (DESIGN.md §3.1). The inner integral
+// (lines 3-12) evaluates every unordered pair of integration points once and
+// accumulates G = (G_K, G_D) of every point into a buffer of kGDoubles per
+// point; block c owns its own cell's pairs and the cyclic half of the other
+// cells (detail::owned_cells). Transform & Assemble (lines 13-23) then
+// reads G one element per block.
 //
 // All three must produce identical matrices to roundoff; a test asserts it.
 //
@@ -19,6 +25,7 @@
 // nonlinear residual of the collision term.
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/ip_data.h"
@@ -42,7 +49,7 @@ struct JacobianContext {
   const fem::FESpace* fes = nullptr;
   const SpeciesSet* species = nullptr;
   const IPData* ip = nullptr;
-  bool atomic_assembly = true; // GPU back-ends use atomicAdd (§III-F)
+  bool atomic_assembly = true; // GPU back-ends use atomicAdd (§III-F) into G and J
   double nu0 = 1.0;            // global collision prefactor (nu_ee = 1 normalized)
 
   // Optional COO sink (§III-F's second assembly interface): when set,
@@ -84,10 +91,23 @@ struct JacobianContext {
 /// with the FE space's element-coupling pattern (I_S (x) A_1, §III).
 la::SparsityPattern landau_jacobian_sparsity(const fem::FESpace& fes, int n_species);
 
-/// Add the collision matrix C into J (J must carry the block sparsity).
+/// Add the collision matrix C into J (J must carry the block sparsity, the
+/// same pattern in every species block).
 void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
                               const JacobianContext& ctx, la::CsrMatrix& j,
                               exec::KernelCounters* counters = nullptr);
+
+/// The same for every grid of an operator: the inner integral once over the
+/// packed points all grids share, then Transform & Assemble per grid. `g`
+/// is the caller's G buffer (see landau_inner_integral).
+void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
+                              std::span<const JacobianContext> grids, std::vector<double>& g,
+                              la::CsrMatrix& j, exec::KernelCounters* counters = nullptr);
+
+/// The inner-integral launch alone: G of every packed point of ctx.ip into
+/// `g`, resized to kGDoubles arrays of ip.n (core/kernel_math.h).
+void landau_inner_integral(Backend backend, exec::ThreadPool& pool, const JacobianContext& ctx,
+                           std::vector<double>& g, exec::KernelCounters* counters = nullptr);
 
 /// Add s * (cylindrical) mass matrix into every species block of J using the
 /// exec-model mass kernel (the paper's separately-profiled second kernel).
@@ -113,9 +133,21 @@ private:
   std::unique_ptr<la::CooAssembler> coo_;
   std::vector<std::size_t> cell_offsets_;
   std::vector<double> values_;
+  std::vector<double> g_; // the inner integral's G
 };
 
 namespace detail {
+
+/// Read-only view of one cell's element matrices (all species), laid out
+/// [species][a][b]: what the kernels hand to assemble_element, from an
+/// ElementMatrices or straight from a block's shared memory.
+struct ElementBlock {
+  const double* c = nullptr;
+  int n_species = 0, nb = 0;
+  double at(int s, int a, int b) const {
+    return c[(static_cast<std::size_t>(s) * nb + a) * nb + b];
+  }
+};
 
 /// Element matrices of one cell (all species), in node space. The per-backend
 /// kernels fill this; assembly into the global matrix is shared.
@@ -131,22 +163,26 @@ struct ElementMatrices {
     nb = nbasis;
     c.assign(static_cast<std::size_t>(ns) * nb * nb, 0.0);
   }
+  ElementBlock view() const { return {c.data(), n_species, nb}; }
 };
 
-/// The species sums (tk_r, tk_z, td) of every packed integration point, as
-/// three consecutive arrays of ip.n: the once-per-call pre-pass of the cpu
-/// and kokkos-sim back-ends (cuda-sim stages them per tile instead). Reads
-/// ip.f/dfr/dfz through checked views under its own checker scope.
+/// The weighted species sums (w tk_r, w tk_z, w td) of every packed
+/// integration point, as three consecutive arrays of ip.n: the
+/// once-per-call pre-pass of every back-end's inner integral. Reads
+/// ip.w/f/dfr/dfz through checked views under its own checker scope.
 std::vector<double> stage_species_sums(const JacobianContext& ctx,
                                        exec::KernelCounters* counters);
 
-/// Scatter one cell's element matrices into the global block matrix. When the
-/// device checker is active, `chk` is the caller's checked view of the output
-/// value array (CSR values or the COO sink) bound to the executing block, and
-/// every scattered entry is recorded as a plain or atomic device write.
+/// Scatter one cell's element matrices into the global block matrix through
+/// `out`, a view of J's value array (or of the COO sink) bound to the
+/// executing block: atomic adds when ctx.atomic_assembly, plain adds
+/// otherwise, recorded as device writes when the checker is active. Each
+/// (a, b) closure pair's dofs and CSR position are resolved once for all
+/// species: every species block of J has the same pattern, so only the row
+/// offset differs.
 LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell,
-                                    const ElementMatrices& ce, la::CsrMatrix& j,
-                                    const exec::check::checked_span<double>* chk = nullptr);
+                                    const ElementBlock& ce, const la::CsrMatrix& j,
+                                    const exec::check::checked_span<double>& out);
 
 } // namespace detail
 } // namespace landau

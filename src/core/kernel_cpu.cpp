@@ -10,8 +10,57 @@
 
 namespace landau::detail {
 
-void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
-                       exec::KernelCounters* counters) {
+void landau_inner_cpu(const JacobianContext& ctx, std::span<double> g,
+                      exec::KernelCounters* counters) {
+  const auto& ip = *ctx.ip;
+  const std::size_t n = ip.n;
+  const auto nq = static_cast<std::size_t>(ctx.fes->tabulation().n_quad());
+  const std::size_t n_cells = n / nq;
+  obs::TraceSpan span("landau:inner-cpu", {{"cells", n_cells}});
+
+  // Weighted species sums once per call; the pair loop reads them per pair.
+  const std::vector<double> sums = stage_species_sums(ctx, counters);
+
+  // Device-checker scope: the serial kernel is one "block" per cell with no
+  // concurrency at all, so only bounds and initialization rules apply
+  // (concurrent_blocks = false disables the inter-block race rule). For the
+  // same reason G takes plain adds and needs no atomics policy.
+  namespace check = exec::check;
+  check::KernelScope chk("landau:inner-cpu", /*concurrent_blocks=*/false);
+  auto ref_r = chk.in(std::span<const double>(ip.r), "ip.r");
+  auto ref_z = chk.in(std::span<const double>(ip.z), "ip.z");
+  auto ref_sums = chk.in(std::span<const double>(sums), "species_sums");
+  auto ref_g = chk.out(g, "landau.G");
+  check::ThreadCtx tc;
+  tc.session = chk.session();
+  check::checked_span<const double> gr(ref_r, &tc), gz(ref_z, &tc), gsums(ref_sums, &tc);
+  check::checked_span<double> gg(ref_g, &tc);
+
+  // Cell c takes its own pairs (i, j > i) and those with its owned cells;
+  // the column sums go straight into G, one pair at a time.
+  for (std::size_t c = 0; c < n_cells; ++c) {
+    exec::CounterScope scope(counters);
+    tc.block = static_cast<int>(c);
+    const std::size_t start = c * nq;
+    const std::size_t list = (owned_cells(c, n_cells) + 1) * nq;
+    for (std::size_t i = 0; i < nq; ++i) {
+      const FieldPoint f = field_point(gr, gz, gsums, n, start + i);
+      InnerAccum row;
+      for_each_run(start, i + 1, list, n, [&](std::size_t first, std::size_t, std::size_t count) {
+        row += pair_row(f, point_run(gr, gz, gsums, n, first, count),
+                        column_sums(gg, n, first, count));
+      });
+      deposit(gg, n, start + i, row, /*atomic=*/false);
+    }
+    scope.flops(pair_block_flops(c, n_cells, nq));
+    scope.dram(static_cast<std::int64_t>(list) * kStagedDoubles * 8 +
+               pair_deposit_dram(c, n_cells, nq));
+  }
+  chk.finish();
+}
+
+void landau_assemble_cpu(const JacobianContext& ctx, std::span<const double> g, la::CsrMatrix& j,
+                         exec::KernelCounters* counters) {
   obs::TraceSpan span("landau:jacobian-cpu", {{"cells", ctx.fes->n_cells()}});
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();
@@ -21,18 +70,10 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
   const int ns = ctx.species->size();
   const std::size_t n = ip.n;
 
-  // Species sums once per call; the row loop below reads them per pair.
-  const std::vector<double> sums = stage_species_sums(ctx, counters);
-
-  // Device-checker scope: the serial kernel is one "block" per cell with no
-  // concurrency at all, so only bounds and initialization rules apply
-  // (concurrent_blocks = false disables the inter-block race rule).
   namespace check = exec::check;
   check::KernelScope chk("landau:jacobian-cpu", /*concurrent_blocks=*/false);
-  auto ref_r = chk.in(std::span<const double>(ip.r), "ip.r");
-  auto ref_z = chk.in(std::span<const double>(ip.z), "ip.z");
   auto ref_w = chk.in(std::span<const double>(ip.w), "ip.w");
-  auto ref_sums = chk.in(std::span<const double>(sums), "species_sums");
+  auto ref_g = chk.in(g, "landau.G");
   // Not LANDAU_CROSS_BLOCK: this back-end runs cells serially
   // (concurrent_blocks=false above), so the assembly target is never
   // written concurrently and needs no atomics policy.
@@ -40,8 +81,7 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
                                 : chk.out(j.values(), "csr.values");
   check::ThreadCtx tc;
   tc.session = chk.session();
-  check::checked_span<const double> gr(ref_r, &tc), gz(ref_z, &tc), gw(ref_w, &tc);
-  check::checked_span<const double> gsums(ref_sums, &tc);
+  check::checked_span<const double> gw(ref_w, &tc), gg(ref_g, &tc);
   check::checked_span<double> gout(ref_out, &tc);
 
   ElementMatrices ce;
@@ -55,10 +95,8 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
 
     for (int i = 0; i < nq; ++i) {
       const std::size_t gi = ctx.ip_offset + cell * static_cast<std::size_t>(nq) + static_cast<std::size_t>(i);
-      const InnerAccum g = inner_row(gr[gi], gz[gi], source_run(gr, gz, gw, gsums, n, 0, n, 1));
-      scope.flops(static_cast<std::int64_t>(n) * kInnerPairFlops);
-      scope.dram(static_cast<std::int64_t>(n) * kStagedDoubles * 8);
-      coeffs[static_cast<std::size_t>(i)] = transform_point(g, geom.jinv[0], geom.jinv[1], gw[gi]);
+      coeffs[static_cast<std::size_t>(i)] =
+          transform_point(g_point(gg, n, gi), geom.jinv[0], geom.jinv[1], gw[gi]);
     }
 
     // Transform & Assemble (Algorithm 1 line 23): contract with the element
@@ -69,8 +107,8 @@ void landau_kernel_cpu(const JacobianContext& ctx, la::CsrMatrix& j,
         for (int s = 0; s < ns; ++s) ce.at(s, a, b) = ctx.ck(s) * e.k + ctx.cd(s) * e.d;
       }
     scope.flops(transform_assemble_flops(nq, nb, ns));
-    scope.dram(transform_assemble_dram(nb, ns));
-    assemble_element(ctx, cell, ce, j, gout.active() ? &gout : nullptr);
+    scope.dram(transform_assemble_dram(nq, nb, ns));
+    assemble_element(ctx, cell, ce.view(), j, gout);
   }
   chk.finish();
 }

@@ -4,24 +4,31 @@
 // guarantees the back-ends differ only in loop organization and memory
 // staging — the paper's point about the CUDA and Kokkos versions.
 //
-// The inner integral is split in two (DESIGN.md §3.1):
+// The inner integral evaluates each unordered pair of integration points
+// once (DESIGN.md §3.1):
 //
 //  * species_sums: the species-summed source fields tk = Σ_b q_b²/m_b ∇f_b
-//    and td = Σ_b q_b² f_b of one source point, staged once per point (they
-//    do not depend on the field point i);
-//  * inner_row: the (G_K, G_D) partial sums of one field point over a
-//    strided run of staged source points. The loop body (inner_row_body) is
-//    the inline, branch-free U^K/U^D closed form with a fixed-trip AGM, so
-//    GCC vectorizes it under `omp simd` (the kernel translation units carry
-//    the flags that allow it, see src/CMakeLists.txt). It is compiled twice,
-//    at the baseline ISA and for AVX2, and inner_row runs the widest one the
-//    host supports.
+//    and td = Σ_b q_b² f_b of one point, staged once per point and weighted
+//    by the point's quadrature weight (they do not depend on the partner);
+//  * pair_row: one field point i against a contiguous run of staged points
+//    j. It returns row i's (G_K, G_D) partial sums and adds the transposed
+//    terms, U(j, i) applied to point i's sums, into the run's column sums.
+//    U(j, i) needs no second tensor evaluation: s, m, K, E, P0-P2 and
+//    a^{-3/2} are symmetric under i <-> j, and the entries of U(j, i) are
+//    entries of U(i, j) except ud00t (landau_tensor_entries). The loop body
+//    (pair_row_body) is the inline, branch-free closed form with a
+//    fixed-trip AGM, so GCC vectorizes it under `omp simd` (the kernel
+//    translation units carry the flags that allow it, see
+//    src/CMakeLists.txt). It is compiled twice, at the baseline ISA and for
+//    AVX2, and pair_row runs the widest one the host supports;
+//  * owned_cells: which cell pairs each block of the pair launch takes.
 //
 // Transform & Assemble (lines 13-23) depends on the species only through
 // two scalars, ck = nu0 q^2/m and cd = -nu0 q^2/m^2: every species' element
 // matrix is ck CK + cd CD, where CK and CD are contracted once per cell from
 // species-free point coefficients (transform_point, contract_pair).
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -90,21 +97,25 @@ struct EllipticKE {
 }
 
 /// The five distinct entries of U^K and U^D at one (field, source) pair:
-/// U^D = [ud00, off; off, d11] and U^K = [uk00, off; uk10, d11].
+/// U^D = [ud00, off; off, d11] and U^K = [uk00, off; uk10, d11]. The
+/// swapped pair needs one more: U^D(j, i) = [ud00t, uk10; uk10, d11] and
+/// U^K(j, i) = [uk00, uk10; off, d11].
 struct TensorEntries {
   double uk00 = 0, uk10 = 0, ud00 = 0, off = 0, d11 = 0;
+  double ud00t = 0;
 };
 
 /// U^K/U^D closed forms (landau_tensor.h) for field point (r, z) and source
 /// point (rp, zp), without branches: the coincident-point guard and the
 /// small-s series are selects over sanitized inputs, so past the guard no
 /// lane computes a non-finite value. Always inlined, like elliptic_ke_fixed:
-/// the row loop vectorizes only with its whole body in view.
+/// the pair loop vectorizes only with its whole body in view.
 [[gnu::always_inline]] LANDAU_DEVICE inline TensorEntries
 landau_tensor_entries(double r, double z, double rp, double zp) {
   const double dz = z - zp;
   const double dz2 = dz * dz;
-  const double rr = r * r + rp * rp;
+  const double r2 = r * r, rp2 = rp * rp;
+  const double rr = r2 + rp2;
   const double a_raw = rr + dz2;
   const double two_rrp = 2.0 * r * rp;
   // Integrable singularity at coincident points (s -> 1, dz -> 0): follow the
@@ -140,12 +151,18 @@ landau_tensor_entries(double r, double z, double rp, double zp) {
 
   const double am32 = 1.0 / (a * std::sqrt(a));
   const double p0_p2 = P0 - P2;
+  const double dz2_p0 = dz2 * P0;
   TensorEntries u;
   u.off = zero ? 0.0 : -dz * (r * P0 - rp * P1) * am32;
   u.d11 = zero ? 0.0 : (rr * P0 - two_rrp * P1) * am32;
-  u.ud00 = zero ? 0.0 : (rp * rp * p0_p2 + dz2 * P0) * am32;
+  u.ud00 = zero ? 0.0 : (rp2 * p0_p2 + dz2_p0) * am32;
   u.uk00 = zero ? 0.0 : (dz2 * P1 + r * rp * p0_p2) * am32;
   u.uk10 = zero ? 0.0 : dz * (rp * P0 - r * P1) * am32;
+  // Every input above is bitwise symmetric under (r, z) <-> (rp, zp): the
+  // sums and products commute, 2 r rp is exact scaling of r rp, and dz only
+  // changes sign. So the swapped pair's entries are exactly these values
+  // (its off is uk10, its uk10 is off) plus ud00 with r in place of rp.
+  u.ud00t = zero ? 0.0 : (r2 * p0_p2 + dz2_p0) * am32;
   return u;
 }
 
@@ -170,94 +187,225 @@ LANDAU_DEVICE inline SpeciesSums species_sums(const double* f, const double* dfr
   return t;
 }
 
-/// A strided run of staged source points: element q of every array sits at
-/// index q * stride.
-struct SourceRun {
-  const double* r;
-  const double* z;
-  const double* w;
-  const double* tk_r;
-  const double* tk_z;
-  const double* td;
-  std::size_t count = 0, stride = 1;
+/// The species sums weighted by the point's quadrature weight w: what the
+/// pair loop reads of a point, on either side of a pair.
+LANDAU_DEVICE inline SpeciesSums weighted(const SpeciesSums& t, double w) {
+  return {w * t.tk_r, w * t.tk_z, w * t.td};
+}
+
+/// One field point of the pair loop: coordinates and weighted species sums.
+struct FieldPoint {
+  double r = 0, z = 0, wtk_r = 0, wtk_z = 0, wtd = 0;
 };
 
-/// Number of points in the cyclic share first, first + stride, ... of [0, n).
-inline constexpr std::size_t cyclic_count(std::size_t first, std::size_t n, std::size_t stride) {
-  return first < n ? (n - first + stride - 1) / stride : 0;
-}
+/// A contiguous run of staged source points: coordinates and weighted
+/// species sums.
+struct PointRun {
+  const double* r;
+  const double* z;
+  const double* wtk_r;
+  const double* wtk_z;
+  const double* wtd;
+  std::size_t count = 0;
+};
 
-/// The run of `count` staged points from `first` with `stride`, read through
-/// checked views so the device checker records exactly the reads the row
-/// loop makes. `sums` holds tk_r, tk_z and td back to back, `sums_len` apart.
+/// The five column-sum arrays of a run, in InnerAccum order; element q
+/// belongs to the run's point q.
+struct ColumnSums {
+  double* gk_r;
+  double* gk_z;
+  double* gd00;
+  double* gd01;
+  double* gd11;
+};
+
+/// Staged point k read through checked views: `sums` holds the weighted
+/// tk_r, tk_z and td back to back, `sums_len` apart.
 template <class View>
-LANDAU_DEVICE SourceRun source_run(const View& r, const View& z, const View& w, const View& sums,
-                                   std::size_t sums_len, std::size_t first, std::size_t count,
-                                   std::size_t stride) {
-  return {r.read_strided(first, count, stride),
-          z.read_strided(first, count, stride),
-          w.read_strided(first, count, stride),
-          sums.read_strided(first, count, stride),
-          sums.read_strided(sums_len + first, count, stride),
-          sums.read_strided(2 * sums_len + first, count, stride),
-          count,
-          stride};
+LANDAU_DEVICE FieldPoint field_point(const View& r, const View& z, const View& sums,
+                                     std::size_t sums_len, std::size_t k) {
+  return {r[k], z[k], sums[k], sums[sums_len + k], sums[2 * sums_len + k]};
 }
 
-/// Flops of one (i, j) pair: the tensor plus the five accumulations.
-inline constexpr int kInnerPairFlops = kLandauTensor2DFlops + 17;
+/// The run of `count` staged points from `first`, read through checked
+/// views so the device checker records exactly the reads the pair loop
+/// makes. `sums` is laid out as in field_point.
+template <class View>
+LANDAU_DEVICE PointRun point_run(const View& r, const View& z, const View& sums,
+                                 std::size_t sums_len, std::size_t first, std::size_t count) {
+  return {r.read_ptr(first, count),
+          z.read_ptr(first, count),
+          sums.read_ptr(first, count),
+          sums.read_ptr(sums_len + first, count),
+          sums.read_ptr(2 * sums_len + first, count),
+          count};
+}
 
-/// Flops of staging one source point's species sums.
-inline constexpr int species_sum_flops(int n_species) { return 6 * n_species; }
+/// Column sums `first` .. `first + count` of five arrays `len` apart, as
+/// read-modify-write pointers through a checked view.
+template <class View>
+LANDAU_DEVICE ColumnSums column_sums(const View& col, std::size_t len, std::size_t first,
+                                     std::size_t count) {
+  return {col.rw_ptr(first, count), col.rw_ptr(len + first, count),
+          col.rw_ptr(2 * len + first, count), col.rw_ptr(3 * len + first, count),
+          col.rw_ptr(4 * len + first, count)};
+}
 
-/// Doubles the row loop reads per source point (r, z, w, tk_r, tk_z, td).
-inline constexpr int kStagedDoubles = 6;
+/// Doubles of G per integration point: (gk_r, gk_z, gd00, gd01, gd11), stored
+/// as five arrays of n points (component c of point k at c * n + k).
+inline constexpr int kGDoubles = 5;
 
-/// Algorithm 1 lines 4-11 for one field point (ri, zi) over a run of staged
-/// source points: the (G_K, G_D) partial sums, returned by value. The one
-/// copy of the row loop's math; the kernels call it through inner_row.
-[[gnu::always_inline]] LANDAU_DEVICE inline InnerAccum inner_row_body(double ri, double zi,
-                                                                      const SourceRun& src) {
+/// Point k's sums in G (layout as in kGDoubles).
+template <class View>
+LANDAU_DEVICE InnerAccum g_point(const View& g, std::size_t n, std::size_t k) {
+  return {g[k], g[n + k], g[2 * n + k], g[3 * n + k], g[4 * n + k]};
+}
+
+/// Add partial sums into point k of G. G is written by every block that
+/// owns a pair with point k, so the GPU back-ends add through the atomic
+/// path (§III-F); `atomic` false is the serial back-end's plain add.
+template <class View>
+LANDAU_DEVICE void deposit(const View& g, std::size_t n, std::size_t k, const InnerAccum& v,
+                           bool atomic) {
+  const double c[kGDoubles] = {v.gk_r, v.gk_z, v.gd00, v.gd01, v.gd11};
+  for (std::size_t i = 0; i < kGDoubles; ++i) {
+    if (atomic)
+      g.atomic_add(i * n + k, c[i]);
+    else
+      g.plain_add(i * n + k, c[i]);
+  }
+}
+
+/// Flops of one tensor evaluation in the pair loop: landau_tensor_entries'
+/// kLandauTensor2DFlops plus ud00t (3).
+inline constexpr int kPairTensorFlops = kLandauTensor2DFlops + 3;
+
+/// Flops of one unordered (i, j) pair: the tensor, the row accumulation
+/// (14: two 2-term dot products and three products, each added) and the
+/// column accumulation (14, the same with point i's sums).
+inline constexpr int kInnerPairFlops = kPairTensorFlops + 28;
+
+/// Flops of staging one point's weighted species sums.
+inline constexpr int staged_point_flops(int n_species) { return 6 * n_species + 3; }
+
+/// Doubles the pair loop reads per source point (r, z, wtk_r, wtk_z, wtd).
+inline constexpr int kStagedDoubles = 5;
+
+/// Other cells whose pairs with cell c block c of the pair launch
+/// evaluates: cells c + 1, ..., c + owned_cells(c, n) (mod n), the cyclic
+/// half. That is ⌊(n − 1)/2⌋ cells for every block, plus the antipodal cell
+/// c + n/2 for blocks c < n/2 when n is even, so every unordered pair of
+/// distinct cells has exactly one owner and every block does the same work
+/// to within one cell. Block c also owns its own cell's pairs (i, j > i).
+inline constexpr std::size_t owned_cells(std::size_t c, std::size_t n) {
+  return (n - 1) / 2 + (n % 2 == 0 && c < n / 2 ? 1 : 0);
+}
+
+/// Unordered pairs block c evaluates, cells of nq points.
+inline constexpr std::int64_t owned_pairs(std::size_t c, std::size_t n, std::size_t nq) {
+  const auto q = static_cast<std::int64_t>(nq);
+  return q * (q - 1) / 2 + static_cast<std::int64_t>(owned_cells(c, n)) * q * q;
+}
+
+/// Flops of block c of the pair launch: its pairs, and one kGDoubles-wide
+/// add into G per point of its source list (the column sums) and per own
+/// point (the row sums).
+inline constexpr std::int64_t pair_block_flops(std::size_t c, std::size_t n, std::size_t nq) {
+  const auto deposits = static_cast<std::int64_t>((owned_cells(c, n) + 2) * nq);
+  return owned_pairs(c, n, nq) * kInnerPairFlops + deposits * kGDoubles;
+}
+
+/// DRAM bytes of block c's deposits into G (those of pair_block_flops),
+/// each a read-modify-write. The back-ends add the reads of their source
+/// list.
+inline constexpr std::int64_t pair_deposit_dram(std::size_t c, std::size_t n, std::size_t nq) {
+  const auto deposits = static_cast<std::int64_t>((owned_cells(c, n) + 2) * nq);
+  return deposits * kGDoubles * 2 * 8;
+}
+
+/// Lanes of a block of the pair launch: a warp, or fewer so that a lane's
+/// chunk of the shortest source list keeps at least 32 points, long enough
+/// to amortize the pair loop's set-up and reduction.
+inline constexpr int pair_lanes(std::size_t n, std::size_t nq) {
+  const std::size_t shortest = ((n - 1) / 2 + 1) * nq;
+  int x = 1;
+  while (x < 32 && 2 * static_cast<std::size_t>(x) * 32 <= shortest) x *= 2;
+  return x;
+}
+
+/// Block c's source list is its own cell followed by its owned cells:
+/// list position p is point (start + p) mod n, start = c nq. Calls
+/// fn(point, position, count) for the runs of consecutive points that
+/// positions [lo, hi) cover: one run, or two where the list wraps past the
+/// last point.
+template <class F>
+LANDAU_DEVICE void for_each_run(std::size_t start, std::size_t lo, std::size_t hi, std::size_t n,
+                                F&& fn) {
+  for (std::size_t p = lo; p < hi;) {
+    const std::size_t point = (start + p) % n;
+    const std::size_t count = std::min(hi - p, n - point);
+    fn(point, p, count);
+    p += count;
+  }
+}
+
+/// Algorithm 1 lines 4-11 for the pairs of one field point f with a run of
+/// staged source points, each pair evaluated once for both orders: returns
+/// f's (G_K, G_D) partial sums over the run and adds U(j, i) applied to f's
+/// sums into the run's column sums. The one copy of the pair loop's math;
+/// the kernels call it through pair_row.
+[[gnu::always_inline]] LANDAU_DEVICE inline InnerAccum
+pair_row_body(const FieldPoint& f, const PointRun& src, const ColumnSums& col) {
   const double* r = src.r;
   const double* z = src.z;
-  const double* w = src.w;
-  const double* tk_r = src.tk_r;
-  const double* tk_z = src.tk_z;
-  const double* td = src.td;
-  const std::size_t count = src.count, stride = src.stride;
+  const double* wtk_r = src.wtk_r;
+  const double* wtk_z = src.wtk_z;
+  const double* wtd = src.wtd;
+  double* c_gk_r = col.gk_r;
+  double* c_gk_z = col.gk_z;
+  double* c_gd00 = col.gd00;
+  double* c_gd01 = col.gd01;
+  double* c_gd11 = col.gd11;
+  const std::size_t count = src.count;
   double gk_r = 0, gk_z = 0, gd00 = 0, gd01 = 0, gd11 = 0;
 #pragma omp simd reduction(+ : gk_r, gk_z, gd00, gd01, gd11)
   for (std::size_t q = 0; q < count; ++q) {
-    const std::size_t k = q * stride;
-    const TensorEntries u = landau_tensor_entries(ri, zi, r[k], z[k]);
-    const double wj = w[k];
-    const double wtd = wj * td[k];
-    gk_r += wj * (u.uk00 * tk_r[k] + u.off * tk_z[k]);
-    gk_z += wj * (u.uk10 * tk_r[k] + u.d11 * tk_z[k]);
-    gd00 += wtd * u.ud00;
-    gd01 += wtd * u.off;
-    gd11 += wtd * u.d11;
+    const TensorEntries u = landau_tensor_entries(f.r, f.z, r[q], z[q]);
+    gk_r += u.uk00 * wtk_r[q] + u.off * wtk_z[q];
+    gk_z += u.uk10 * wtk_r[q] + u.d11 * wtk_z[q];
+    gd00 += wtd[q] * u.ud00;
+    gd01 += wtd[q] * u.off;
+    gd11 += wtd[q] * u.d11;
+    // U^K(j, i) = [uk00, uk10; off, d11], U^D(j, i) = [ud00t, uk10; uk10, d11].
+    c_gk_r[q] += u.uk00 * f.wtk_r + u.uk10 * f.wtk_z;
+    c_gk_z[q] += u.off * f.wtk_r + u.d11 * f.wtk_z;
+    c_gd00[q] += f.wtd * u.ud00t;
+    c_gd01[q] += f.wtd * u.uk10;
+    c_gd11[q] += f.wtd * u.d11;
   }
   return {gk_r, gk_z, gd00, gd01, gd11};
 }
 
-/// inner_row_body compiled out of line at the baseline ISA (landau_tensor.cpp).
-LANDAU_DEVICE InnerAccum inner_row_baseline(double ri, double zi, const SourceRun& src);
+/// pair_row_body compiled out of line at the baseline ISA (landau_tensor.cpp).
+LANDAU_DEVICE InnerAccum pair_row_baseline(const FieldPoint& f, const PointRun& src,
+                                           const ColumnSums& col);
 
 #if defined(__x86_64__) || defined(__i386__)
-/// inner_row_body compiled for AVX2 (4 doubles per vector). Call it only
-/// when row_loop_avx2() is true. Floating-point contraction is off in the
+/// pair_row_body compiled for AVX2 (4 doubles per vector). Call it only
+/// when pair_loop_avx2() is true. Floating-point contraction is off in the
 /// kernel units, so each pair's arithmetic is the baseline's; only the
-/// reduction order of the five sums differs.
-LANDAU_DEVICE InnerAccum inner_row_avx2(double ri, double zi, const SourceRun& src);
+/// reduction order of the five row sums differs.
+LANDAU_DEVICE InnerAccum pair_row_avx2(const FieldPoint& f, const PointRun& src,
+                                       const ColumnSums& col);
 #endif
 
-/// True when the host supports AVX2 and FMA, so inner_row runs inner_row_avx2.
-bool row_loop_avx2();
+/// True when the host supports AVX2 and FMA, so pair_row runs pair_row_avx2.
+bool pair_loop_avx2();
 
-/// The row loop the back-ends call: inner_row_avx2 where the host supports
-/// it, inner_row_baseline otherwise, chosen once per process.
-LANDAU_DEVICE InnerAccum inner_row(double ri, double zi, const SourceRun& src);
+/// The pair loop the back-ends call: pair_row_avx2 where the host supports
+/// it, pair_row_baseline otherwise, chosen once per process.
+LANDAU_DEVICE InnerAccum pair_row(const FieldPoint& f, const PointRun& src,
+                                  const ColumnSums& col);
 
 /// Species-free point coefficients of one field point (Algorithm 1 lines
 /// 13-20 without the species scalars): the reduced integrals mapped to the
@@ -314,10 +462,12 @@ inline constexpr std::int64_t transform_assemble_flops(int nq, int nb, int ns) {
   return 14 * static_cast<std::int64_t>(nq) + 15 * pairs * nq + 3 * pairs * ns;
 }
 
-/// DRAM bytes of one cell's Transform & Assemble: the ns element matrices
-/// it hands to the global assembly, written and read back once each.
-inline constexpr std::int64_t transform_assemble_dram(int nb, int ns) {
-  return static_cast<std::int64_t>(ns) * nb * nb * 8 * 2;
+/// DRAM bytes of one cell's Transform & Assemble: the cell's G read once,
+/// and the ns element matrices it hands to the global assembly, written and
+/// read back once each.
+inline constexpr std::int64_t transform_assemble_dram(int nq, int nb, int ns) {
+  return (static_cast<std::int64_t>(nq) * kGDoubles + static_cast<std::int64_t>(ns) * nb * nb * 2) *
+         8;
 }
 
 } // namespace landau::detail

@@ -8,24 +8,25 @@
 namespace landau {
 namespace detail {
 
-// The row loop's two ISA clones. Both compile the one inline body; the AVX2
-// clone's target attribute widens the `omp simd` loop to 4 doubles, and
+// The pair loop's two ISA clones. Both compile the one inline body; the
+// AVX2 clone's target attribute widens the `omp simd` loop to 4 doubles, and
 // flatten keeps every call in it inlined at that width. FMA is enabled with
 // AVX2 only because every AVX2 host has it: -ffp-contract=off (the kernel
 // units' flags) keeps it from changing any product-sum.
 
-LANDAU_DEVICE InnerAccum inner_row_baseline(double ri, double zi, const SourceRun& src) {
-  return inner_row_body(ri, zi, src);
+LANDAU_DEVICE InnerAccum pair_row_baseline(const FieldPoint& f, const PointRun& src,
+                                           const ColumnSums& col) {
+  return pair_row_body(f, src, col);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
 [[gnu::target("avx2,fma"), gnu::flatten]] LANDAU_DEVICE InnerAccum
-inner_row_avx2(double ri, double zi, const SourceRun& src) {
-  return inner_row_body(ri, zi, src);
+pair_row_avx2(const FieldPoint& f, const PointRun& src, const ColumnSums& col) {
+  return pair_row_body(f, src, col);
 }
 #endif
 
-bool row_loop_avx2() {
+bool pair_loop_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
   static const bool supported =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -35,12 +36,13 @@ bool row_loop_avx2() {
 #endif
 }
 
-LANDAU_DEVICE InnerAccum inner_row(double ri, double zi, const SourceRun& src) {
+LANDAU_DEVICE InnerAccum pair_row(const FieldPoint& f, const PointRun& src,
+                                  const ColumnSums& col) {
 #if defined(__x86_64__) || defined(__i386__)
-  static const auto row_loop = row_loop_avx2() ? inner_row_avx2 : inner_row_baseline;
-  return row_loop(ri, zi, src);
+  static const auto pair_loop = pair_loop_avx2() ? pair_row_avx2 : pair_row_baseline;
+  return pair_loop(f, src, col);
 #else
-  return inner_row_baseline(ri, zi, src);
+  return pair_row_baseline(f, src, col);
 #endif
 }
 

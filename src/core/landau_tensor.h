@@ -36,7 +36,7 @@ struct Tensor2 {
 };
 
 /// Evaluate U^K and U^D at field point (r,z), source point (rp,zp): a thin
-/// wrapper over the inline branch-free math the kernels' row loop uses
+/// wrapper over the inline branch-free math the kernels' pair loop uses
 /// (detail::landau_tensor_entries in core/kernel_math.h).
 LANDAU_DEVICE void landau_tensor_2d(double r, double z, double rp, double zp, Tensor2* uk,
                                     Tensor2* ud) noexcept;

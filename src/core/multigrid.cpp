@@ -175,10 +175,12 @@ JacobianContext MultiGridLandauOperator::make_context(int g) const {
 void MultiGridLandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
   ScopedEvent ev("landau:matrix");
-  for (int g = 0; g < n_grids(); ++g) {
-    const auto ctx = make_context(g);
-    assemble_landau_jacobian(opts_.backend, *pool_, ctx, j, counters);
-  }
+  // One inner integral over the concatenated points of all grids, then
+  // Transform & Assemble per grid.
+  std::vector<JacobianContext> grids;
+  grids.reserve(grids_.size());
+  for (int g = 0; g < n_grids(); ++g) grids.push_back(make_context(g));
+  assemble_landau_jacobian(opts_.backend, *pool_, grids, g_, j, counters);
 }
 
 void MultiGridLandauOperator::add_advection(la::CsrMatrix& j, double e_z) const {

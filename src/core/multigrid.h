@@ -62,6 +62,9 @@ public:
 
   la::Vec maxwellian_state() const;
 
+  /// The packed points of all grids, concatenated (valid after pack()).
+  const IPData& ip_data() const { return ip_; }
+
   const la::CsrMatrix& mass() const override { return mass_; }
   la::CsrMatrix new_matrix() const override;
   void pack(const la::Vec& state) override;
@@ -88,6 +91,7 @@ private:
   std::unique_ptr<exec::ThreadPool> pool_;
   la::CsrMatrix mass_;
   IPData ip_;
+  std::vector<double> g_; // the inner integral's G, kGDoubles per packed point
 };
 
 } // namespace landau

@@ -136,7 +136,8 @@ void LandauOperator::pack(const la::Vec& state) {
 void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
   ScopedEvent ev("landau:matrix");
-  assemble_landau_jacobian(opts_.backend, *pool_, ctx_, j, counters);
+  assemble_landau_jacobian(opts_.backend, *pool_, std::span<const JacobianContext>(&ctx_, 1), g_, j,
+                           counters);
   if (robustness().paranoid)
     LANDAU_ASSERT(j.all_finite(),
                   "paranoid: non-finite entries in the assembled collision matrix");

@@ -119,6 +119,7 @@ private:
   la::CsrMatrix mass_;
   IPData ip_;
   JacobianContext ctx_;
+  std::vector<double> g_; // the inner integral's G, kGDoubles per packed point
 };
 
 } // namespace landau

@@ -36,6 +36,7 @@
 // (kernel, buffer, index, block, phase, thread) provenance; strict mode makes
 // KernelScope::finish() throw landau::Error on the first report.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -255,13 +256,30 @@ public:
     for (std::size_t k = 0; sb_ && k < count; ++k) note(i + k, Kind::Write);
     return target(i);
   }
-  /// Read-modify-write pointer (e.g. an accumulator passed to a helper).
-  T* rw_ptr(std::size_t i) const {
-    if (sb_) {
-      note(i, Kind::Read);
-      note(i, Kind::Write);
+  /// Read-modify-write pointer (e.g. accumulators passed to a helper).
+  T* rw_ptr(std::size_t i, std::size_t count = 1) const {
+    for (std::size_t k = 0; sb_ && k < count; ++k) {
+      note(i + k, Kind::Read);
+      note(i + k, Kind::Write);
     }
     return target(i);
+  }
+  /// atomicAdd: element i += v through the atomic path, recorded as an
+  /// atomic write (atomic updates from several blocks do not conflict).
+  void atomic_add(std::size_t i, T v) const
+    requires(!std::is_const_v<T>)
+  {
+    note(i, Kind::Atomic);
+    std::atomic_ref<T>(*target(i)).fetch_add(v, std::memory_order_relaxed);
+  }
+  /// Element i += v without atomics, recorded as one plain write: a second
+  /// block's update of the same word is then reported as the missing
+  /// atomicAdd (§III-F). For words no two concurrent blocks update.
+  void plain_add(std::size_t i, T v) const
+    requires(!std::is_const_v<T>)
+  {
+    note(i, Kind::Write);
+    *target(i) += v;
   }
   /// Record a read of the whole view, return the base pointer.
   T* read_all() const { return read_ptr(0, n_); }

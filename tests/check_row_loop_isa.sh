@@ -1,5 +1,5 @@
 #!/bin/sh
-# Checks the Landau row loop's AVX2 clone (landau::detail::inner_row_avx2,
+# Checks the Landau pair loop's AVX2 clone (landau::detail::pair_row_avx2,
 # src/core/landau_tensor.cpp) in the built library:
 #  * it must be vectorized 4-wide: %ymm vsqrtpd and %ymm vdivpd present;
 #  * it must not fuse multiply-adds: no vfmadd/vfmsub/vfnmadd/vfnmsub, so
@@ -12,7 +12,7 @@
 
 lib=$1
 objdump=${2:-objdump}
-sym=_ZN6landau6detail14inner_row_avx2EddRKNS0_9SourceRunE
+sym=_ZN6landau6detail13pair_row_avx2ERKNS0_10FieldPointERKNS0_8PointRunERKNS0_10ColumnSumsE
 
 if ! command -v "$objdump" >/dev/null 2>&1; then
   echo "objdump not found: skipped"

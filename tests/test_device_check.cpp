@@ -307,6 +307,34 @@ TEST_F(DeviceCheck, NonAtomicAssemblyIsAnInterBlockRace) {
   EXPECT_NE(r->block, r->prev_block);
 }
 
+TEST_F(DeviceCheck, NonAtomicColumnDepositIsAnInterBlockRace) {
+  // Every block adds column sums into G for about half of all points, so a
+  // plain deposit races with other blocks' deposits into the same word.
+  LandauOperator op = make_small_op();
+  la::Vec f = op.maxwellian_state();
+  op.pack(f);
+  exec::ThreadPool pool(2);
+  JacobianContext ctx;
+  ctx.init(op.space(), op.species(), op.ip_data());
+  ctx.atomic_assembly = false; // the §III-F bug, now in the column deposits
+  std::vector<double> g;
+  landau_inner_integral(Backend::CudaSim, pool, ctx, g);
+
+  auto& dc = check::DeviceChecker::instance();
+  EXPECT_GE(dc.count(check::kInterBlockRace), 1);
+  const auto reports = dc.reports();
+  const check::Report* r = find_report(reports, check::kInterBlockRace, "landau:inner-cuda");
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(r->buffer, "landau.G");
+  EXPECT_NE(r->detail.find("atomicAdd"), std::string::npos);
+  EXPECT_NE(r->block, r->prev_block);
+  // With atomic deposits the same launch is clean.
+  dc.clear();
+  ctx.atomic_assembly = true;
+  landau_inner_integral(Backend::CudaSim, pool, ctx, g);
+  EXPECT_EQ(dc.total(), 0);
+}
+
 TEST_F(DeviceCheck, UninitInputBufferReadIsReported) {
   check::options().uninit_input = "ip.f"; // model reading unpacked device data
   LandauOperator op = make_small_op();
@@ -321,7 +349,9 @@ TEST_F(DeviceCheck, UninitInputBufferReadIsReported) {
   auto& dc = check::DeviceChecker::instance();
   EXPECT_GE(dc.count(check::kUninitRead), 1);
   const auto reports = dc.reports();
-  const check::Report* r = find_report(reports, check::kUninitRead, "landau:jacobian-cuda");
+  // The packed values are read once per call, by the pre-pass that stages
+  // the species sums for the inner-integral launch.
+  const check::Report* r = find_report(reports, check::kUninitRead, "landau:species-sums");
   ASSERT_NE(r, nullptr);
   EXPECT_EQ(r->buffer, "ip.f");
 }

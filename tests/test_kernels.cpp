@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/kernel_math.h"
+#include "core/multigrid.h"
 #include "core/operator.h"
 #include "fem/tabulation.h"
 #include "util/special_math.h"
@@ -33,7 +36,128 @@ double two_bump(double r, double z) {
   return maxwellian_rz(r, z, 0.6, 0.8, 1.0) + maxwellian_rz(r, z, 0.4, 0.5, -1.2);
 }
 
+/// G of every packed point summed the way the row loop summed it before the
+/// pair launch: for each field point i, landau_tensor_2d against every point
+/// j in index order, with the unweighted species sums.
+std::vector<double> row_order_g(const JacobianContext& ctx) {
+  const IPData& ip = *ctx.ip;
+  const std::size_t n = ip.n;
+  std::vector<detail::SpeciesSums> t(n);
+  for (std::size_t j = 0; j < n; ++j)
+    t[j] = detail::species_sums(&ip.f[j], &ip.dfr[j], &ip.dfz[j], n, ip.n_species,
+                                ctx.q2.data(), ctx.q2_over_m.data());
+  std::vector<double> g(detail::kGDoubles * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    detail::InnerAccum acc;
+    for (std::size_t j = 0; j < n; ++j) {
+      Tensor2 uk, ud;
+      landau_tensor_2d(ip.r[i], ip.z[i], ip.r[j], ip.z[j], &uk, &ud);
+      const double wj = ip.w[j];
+      acc.gk_r += wj * (uk.m[0][0] * t[j].tk_r + uk.m[0][1] * t[j].tk_z);
+      acc.gk_z += wj * (uk.m[1][0] * t[j].tk_r + uk.m[1][1] * t[j].tk_z);
+      acc.gd00 += wj * t[j].td * ud.m[0][0];
+      acc.gd01 += wj * t[j].td * ud.m[0][1];
+      acc.gd11 += wj * t[j].td * ud.m[1][1];
+    }
+    const double v[detail::kGDoubles] = {acc.gk_r, acc.gk_z, acc.gd00, acc.gd01, acc.gd11};
+    for (std::size_t c = 0; c < detail::kGDoubles; ++c) g[c * n + i] = v[c];
+  }
+  return g;
+}
+
+/// Largest normwise relative error over G's five components.
+double g_error(const std::vector<double>& g, const std::vector<double>& ref) {
+  const std::size_t n = ref.size() / detail::kGDoubles;
+  double worst = 0.0;
+  for (std::size_t c = 0; c < detail::kGDoubles; ++c) {
+    double num = 0.0, den = 0.0;
+    for (std::size_t k = c * n; k < (c + 1) * n; ++k) {
+      num += (g[k] - ref[k]) * (g[k] - ref[k]);
+      den += ref[k] * ref[k];
+    }
+    worst = std::max(worst, std::sqrt(num / den));
+  }
+  return worst;
+}
+
+/// The pair launch of every back-end against row_order_g on ctx's points;
+/// the errors are recorded as test properties prefixed by `label`.
+void expect_pair_launch_matches_row_order(const JacobianContext& ctx, const std::string& label) {
+  const std::vector<double> ref = row_order_g(ctx);
+  exec::ThreadPool pool(2);
+  for (Backend be : {Backend::Cpu, Backend::CudaSim, Backend::KokkosSim}) {
+    std::vector<double> g;
+    landau_inner_integral(be, pool, ctx, g);
+    ASSERT_EQ(g.size(), ref.size());
+    const double e = g_error(g, ref);
+    EXPECT_LE(e, 1e-13) << backend_name(be);
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.3e", e);
+    ::testing::Test::RecordProperty(label + "_" + backend_name(be), buf);
+  }
+}
+
 } // namespace
+
+TEST(InnerIntegral, PairLaunchMatchesRowOrderSum) {
+  // Meshes with an even cell count (the perfbench quench and tungsten10
+  // meshes: the antipodal cell goes to the first half of the blocks) and an
+  // odd one (the quench mesh plus a runaway-tail strip on one side of z).
+  struct Mesh {
+    const char* name;
+    SpeciesSet species;
+    LandauOptions opts;
+    std::size_t cells;
+  };
+  auto quench = SpeciesSet::electron_deuterium();
+  quench[1].mass = 50.0;
+  auto tungsten = SpeciesSet::tungsten_plasma();
+  tungsten[1].mass = 100.0;
+  for (int s = 2; s < tungsten.size(); ++s) tungsten[s].mass = 1600.0;
+  LandauOptions q3 = small_opts();
+  q3.order = 3;
+  q3.radius = 5.0;
+  LandauOptions lq = q3, lt = q3, lo = q3;
+  lq.cells_per_thermal = 0.7;
+  lq.max_levels = 3;
+  lt.cells_per_thermal = 0.45;
+  lt.max_levels = 6;
+  lo.cells_per_thermal = 0.7;
+  lo.max_levels = 3;
+  lo.tail_zones.push_back({.z_min = 0.5, .z_max = 2.0, .r_width = 0.5, .target_h = 0.6});
+  const Mesh meshes[] = {{"quench", quench, lq, 38},
+                         {"tungsten10", tungsten, lt, 110},
+                         {"quench+tail", quench, lo, 41}};
+  for (const Mesh& m : meshes) {
+    SCOPED_TRACE(m.name);
+    LandauOperator op(m.species, m.opts);
+    ASSERT_EQ(op.space().n_cells(), m.cells);
+    // Drifting Maxwellians: no symmetry in z to hide an error behind.
+    std::vector<double> drifts(static_cast<std::size_t>(op.n_species()));
+    for (std::size_t s = 0; s < drifts.size(); ++s) drifts[s] = 0.1 * (s % 2 ? -1.0 : 1.0);
+    op.pack(op.maxwellian_state(drifts));
+    JacobianContext ctx;
+    ctx.init(op.space(), op.species(), op.ip_data());
+    expect_pair_launch_matches_row_order(ctx, m.name);
+  }
+}
+
+TEST(InnerIntegral, PairLaunchMatchesRowOrderSumOnTwoGrids) {
+  // The multi-grid operator runs one pair launch over the concatenated
+  // points of both grids.
+  SpeciesSet sp({{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
+                 {.name = "i", .mass = 36.0, .charge = 1.0, .density = 1.0, .temperature = 1.0}});
+  LandauOptions o = small_opts(Backend::CudaSim);
+  o.order = 3;
+  o.cells_per_thermal = 0.8;
+  MultiGridLandauOperator op(sp, o);
+  ASSERT_EQ(op.n_grids(), 2);
+  op.pack(op.maxwellian_state());
+  JacobianContext ctx;
+  ctx.init(*op.grid(0).fes, op.species(), op.ip_data());
+  ASSERT_EQ(op.ip_data().n, op.n_ips_total());
+  expect_pair_launch_matches_row_order(ctx, "two_grids");
+}
 
 TEST(Kernels, AllBackendsProduceTheSameJacobian) {
   auto species = SpeciesSet::electron_deuterium();

@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/kernel_math.h"
@@ -290,167 +292,288 @@ TEST(LandauTensorFastPath, CoincidentPointsGiveExactZero) {
   }
 }
 
+TEST(LandauTensorFastPath, SwappedPairEntriesAreExact) {
+  // The pair loop evaluates each unordered pair once and takes U(j, i) from
+  // the entries of U(i, j): off and uk10 swap, ud00t replaces ud00, the rest
+  // carry over. Every input is bitwise symmetric, so the swap is exact.
+  std::size_t pairs = 0;
+  for_each_sweep_pair([&](double r, double z, double rp, double zp) {
+    const detail::TensorEntries u = detail::landau_tensor_entries(r, z, rp, zp);
+    const detail::TensorEntries t = detail::landau_tensor_entries(rp, zp, r, z);
+    EXPECT_EQ(u.uk00, t.uk00) << "(" << r << ", " << z << ") <-> (" << rp << ", " << zp << ")";
+    EXPECT_EQ(u.uk10, t.off) << "(" << r << ", " << z << ") <-> (" << rp << ", " << zp << ")";
+    EXPECT_EQ(u.off, t.uk10) << "(" << r << ", " << z << ") <-> (" << rp << ", " << zp << ")";
+    EXPECT_EQ(u.d11, t.d11) << "(" << r << ", " << z << ") <-> (" << rp << ", " << zp << ")";
+    EXPECT_EQ(u.ud00t, t.ud00) << "(" << r << ", " << z << ") <-> (" << rp << ", " << zp << ")";
+    EXPECT_EQ(u.ud00, t.ud00t) << "(" << r << ", " << z << ") <-> (" << rp << ", " << zp << ")";
+    ++pairs;
+  });
+  RecordProperty("pairs", std::to_string(pairs));
+}
+
+namespace {
+
+/// Staged source points for the pair-loop tests: coordinates (the axis and
+/// repeated points included) and weighted species sums.
+struct Staged {
+  std::vector<double> r, z, sums; // sums: w tk_r, w tk_z, w td, n apart
+  std::size_t n = 0;
+  detail::FieldPoint point(std::size_t k) const {
+    return {r[k], z[k], sums[k], sums[n + k], sums[2 * n + k]};
+  }
+  detail::PointRun run(std::size_t first, std::size_t count) const {
+    return {r.data() + first,         z.data() + first,         sums.data() + first,
+            sums.data() + n + first,  sums.data() + 2 * n + first, count};
+  }
+};
+
+/// Five column-sum arrays of n points, zeroed.
+struct Columns {
+  std::vector<double> v;
+  std::size_t n;
+  explicit Columns(std::size_t points) : v(detail::kGDoubles * points, 0.0), n(points) {}
+  detail::ColumnSums at(std::size_t first) {
+    double* p = v.data() + first;
+    return {p, p + n, p + 2 * n, p + 3 * n, p + 4 * n};
+  }
+  detail::InnerAccum point(std::size_t k) const {
+    return {v[k], v[n + k], v[2 * n + k], v[3 * n + k], v[4 * n + k]};
+  }
+};
+
+/// Field point f's (G_K, G_D) terms from one source point p with tensors
+/// (uk, ud) = U(f, p), written out as the pair loop sums them.
+detail::InnerAccum pair_terms(const Tensor2& uk, const Tensor2& ud, const detail::FieldPoint& p) {
+  return {uk.m[0][0] * p.wtk_r + uk.m[0][1] * p.wtk_z, uk.m[1][0] * p.wtk_r + uk.m[1][1] * p.wtk_z,
+          p.wtd * ud.m[0][0], p.wtd * ud.m[0][1], p.wtd * ud.m[1][1]};
+}
+
+double accum_norm2(const detail::InnerAccum& g) {
+  return g.gk_r * g.gk_r + g.gk_z * g.gk_z + g.gd00 * g.gd00 + g.gd01 * g.gd01 +
+         g.gd11 * g.gd11;
+}
+
+/// Normwise relative error of the five sums of `g` against `ref`.
+double accum_error(const detail::InnerAccum& g, const detail::InnerAccum& ref) {
+  const detail::InnerAccum d{g.gk_r - ref.gk_r, g.gk_z - ref.gk_z, g.gd00 - ref.gd00,
+                             g.gd01 - ref.gd01, g.gd11 - ref.gd11};
+  return std::sqrt(accum_norm2(d) / accum_norm2(ref));
+}
+
+} // namespace
+
 TEST(LandauTensorFastPath, RowLoopMatchesPairwiseSum) {
-  // inner_row (vectorized, reordered reduction) against a scalar loop of
-  // landau_tensor_2d, over contiguous and strided runs that include the
+  // pair_row (vectorized, reordered reduction) against scalar loops of
+  // landau_tensor_2d: the row sums of field point i over a run, and each
+  // run point's column sums, U(j, i) applied to point i. Runs include the
   // coincident point and the axis.
   const std::size_t n = 301;
-  std::vector<double> r(n), z(n), w(n), sums(3 * n);
+  Staged st;
+  st.n = n;
+  st.r.resize(n);
+  st.z.resize(n);
+  st.sums.resize(3 * n);
   for (std::size_t k = 0; k < n; ++k) {
-    r[k] = 0.013 * static_cast<double>(k % 97);
-    z[k] = -2.0 + 0.0137 * static_cast<double>(k);
-    w[k] = 1e-3 * (1.0 + 0.5 * std::sin(0.3 * static_cast<double>(k)));
-    sums[k] = std::cos(0.1 * static_cast<double>(k));          // tk_r
-    sums[n + k] = -0.4 + 0.002 * static_cast<double>(k);        // tk_z
-    sums[2 * n + k] = 0.8 + 0.1 * std::sin(static_cast<double>(k)); // td
+    st.r[k] = 0.013 * static_cast<double>(k % 97);
+    st.z[k] = -2.0 + 0.0137 * static_cast<double>(k);
+    const double w = 1e-3 * (1.0 + 0.5 * std::sin(0.3 * static_cast<double>(k)));
+    st.sums[k] = w * std::cos(0.1 * static_cast<double>(k));                // w tk_r
+    st.sums[n + k] = w * (-0.4 + 0.002 * static_cast<double>(k));           // w tk_z
+    st.sums[2 * n + k] = w * (0.8 + 0.1 * std::sin(static_cast<double>(k))); // w td
   }
-  for (std::size_t stride : {1u, 3u}) {
+  for (std::size_t first : {0u, 7u}) {
     for (std::size_t i : {0u, 5u, 150u, 300u}) {
-      const std::size_t count = detail::cyclic_count(0, n, stride);
-      const detail::InnerAccum g = detail::inner_row(
-          r[i], z[i],
-          {r.data(), z.data(), w.data(), sums.data(), sums.data() + n, sums.data() + 2 * n,
-           count, stride});
-      double gk_r = 0, gk_z = 0, gd00 = 0, gd01 = 0, gd11 = 0, scale = 0;
-      for (std::size_t k = 0; k < n; k += stride) {
-        Tensor2 uk, ud;
-        landau_tensor_2d(r[i], z[i], r[k], z[k], &uk, &ud);
-        const double tkr = sums[k], tkz = sums[n + k], td = sums[2 * n + k];
-        gk_r += w[k] * (uk.m[0][0] * tkr + uk.m[0][1] * tkz);
-        gk_z += w[k] * (uk.m[1][0] * tkr + uk.m[1][1] * tkz);
-        gd00 += w[k] * td * ud.m[0][0];
-        gd01 += w[k] * td * ud.m[0][1];
-        gd11 += w[k] * td * ud.m[1][1];
+      const std::size_t count = n - first;
+      Columns col(n);
+      const detail::FieldPoint f = st.point(i);
+      const detail::InnerAccum g = detail::pair_row(f, st.run(first, count), col.at(first));
+      detail::InnerAccum row;
+      double scale = 0;
+      for (std::size_t k = first; k < n; ++k) {
+        Tensor2 uk, ud, ukt, udt;
+        landau_tensor_2d(f.r, f.z, st.r[k], st.z[k], &uk, &ud);
+        landau_tensor_2d(st.r[k], st.z[k], f.r, f.z, &ukt, &udt);
+        row += pair_terms(uk, ud, st.point(k));
+        const detail::InnerAccum c = pair_terms(ukt, udt, f);
+        const detail::InnerAccum got = col.point(k);
+        EXPECT_LE(std::sqrt(accum_norm2({got.gk_r - c.gk_r, got.gk_z - c.gk_z, got.gd00 - c.gd00,
+                                         got.gd01 - c.gd01, got.gd11 - c.gd11})),
+                  1e-14 * std::sqrt(accum_norm2(c)))
+            << "column k=" << k << " i=" << i;
         for (double v : {uk.m[0][0], uk.m[0][1], uk.m[1][0], ud.m[0][0], ud.m[1][1]})
-          scale += w[k] * std::abs(v) * 2.0;
+          scale += std::abs(v) * 2e-3;
       }
-      EXPECT_NEAR(g.gk_r, gk_r, 1e-14 * scale) << "i=" << i << " stride=" << stride;
-      EXPECT_NEAR(g.gk_z, gk_z, 1e-14 * scale) << "i=" << i << " stride=" << stride;
-      EXPECT_NEAR(g.gd00, gd00, 1e-14 * scale) << "i=" << i << " stride=" << stride;
-      EXPECT_NEAR(g.gd01, gd01, 1e-14 * scale) << "i=" << i << " stride=" << stride;
-      EXPECT_NEAR(g.gd11, gd11, 1e-14 * scale) << "i=" << i << " stride=" << stride;
+      EXPECT_NEAR(g.gk_r, row.gk_r, 1e-14 * scale) << "i=" << i << " first=" << first;
+      EXPECT_NEAR(g.gk_z, row.gk_z, 1e-14 * scale) << "i=" << i << " first=" << first;
+      EXPECT_NEAR(g.gd00, row.gd00, 1e-14 * scale) << "i=" << i << " first=" << first;
+      EXPECT_NEAR(g.gd01, row.gd01, 1e-14 * scale) << "i=" << i << " first=" << first;
+      EXPECT_NEAR(g.gd11, row.gd11, 1e-14 * scale) << "i=" << i << " first=" << first;
     }
   }
 }
 
+TEST(PairOwnership, CyclicHalfOwnsEveryCellPairOnce) {
+  // Block c takes cells c + 1 .. c + owned_cells(c, n) (mod n). Every
+  // unordered pair of distinct cells must have exactly one owner, and the
+  // blocks' pair counts may differ by at most one cell's nq^2.
+  constexpr std::size_t nq = 16;
+  for (std::size_t n = 1; n <= 64; ++n) {
+    std::vector<int> owners(n * n, 0);
+    std::int64_t lo = std::numeric_limits<std::int64_t>::max(), hi = 0, total = 0;
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t m = detail::owned_cells(c, n);
+      ASSERT_LT(m, std::max<std::size_t>(n, 1)) << "n=" << n << " c=" << c;
+      for (std::size_t k = 1; k <= m; ++k) {
+        const std::size_t d = (c + k) % n;
+        ++owners[std::min(c, d) * n + std::max(c, d)];
+      }
+      const std::int64_t pairs = detail::owned_pairs(c, n, nq);
+      lo = std::min(lo, pairs);
+      hi = std::max(hi, pairs);
+      total += pairs;
+    }
+    for (std::size_t c = 0; c < n; ++c)
+      for (std::size_t d = c + 1; d < n; ++d)
+        EXPECT_EQ(owners[c * n + d], 1) << "n=" << n << " cells " << c << ", " << d;
+    EXPECT_LE(hi - lo, static_cast<std::int64_t>(nq * nq)) << "n=" << n;
+    const auto points = static_cast<std::int64_t>(n * nq);
+    EXPECT_EQ(total, points * (points - 1) / 2) << "n=" << n;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// The row loop's ISA clones (inner_row_baseline, inner_row_avx2)
+// The pair loop's ISA clones (pair_row_baseline, pair_row_avx2)
 // ---------------------------------------------------------------------------
 
 namespace {
 
-using RowLoop = detail::InnerAccum (*)(double, double, const detail::SourceRun&);
+using PairLoop = detail::InnerAccum (*)(const detail::FieldPoint&, const detail::PointRun&,
+                                        const detail::ColumnSums&);
 
 /// The clone for `isa` (0 = baseline, 1 = AVX2), or nullptr when this host
 /// cannot run it.
-RowLoop row_loop_clone(int isa) {
-  if (isa == 0) return detail::inner_row_baseline;
+PairLoop pair_loop_clone(int isa) {
+  if (isa == 0) return detail::pair_row_baseline;
 #if defined(__x86_64__) || defined(__i386__)
-  if (detail::row_loop_avx2()) return detail::inner_row_avx2;
+  if (detail::pair_loop_avx2()) return detail::pair_row_avx2;
 #endif
   return nullptr;
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// (G_K, G_D) of field point (ri, zi) over a run of source points, summed
+/// Field point f's row sums over a run, and the run's column sums, summed
 /// in order from the branchy elliptic_ke closed form.
-detail::InnerAccum closed_form_row(double ri, double zi, const detail::SourceRun& src) {
-  detail::InnerAccum g;
-  for (std::size_t q = 0; q < src.count; ++q) {
-    const std::size_t k = q * src.stride;
+detail::InnerAccum closed_form_pairs(const detail::FieldPoint& f, const Staged& st,
+                                     std::size_t first, std::size_t count, Columns* col) {
+  detail::InnerAccum row;
+  for (std::size_t k = first; k < first + count; ++k) {
     Tensor2 uk, ud;
-    closed_form_reference(ri, zi, src.r[k], src.z[k], &uk, &ud);
-    const double wj = src.w[k];
-    g.gk_r += wj * (uk.m[0][0] * src.tk_r[k] + uk.m[0][1] * src.tk_z[k]);
-    g.gk_z += wj * (uk.m[1][0] * src.tk_r[k] + uk.m[1][1] * src.tk_z[k]);
-    g.gd00 += wj * src.td[k] * ud.m[0][0];
-    g.gd01 += wj * src.td[k] * ud.m[0][1];
-    g.gd11 += wj * src.td[k] * ud.m[1][1];
+    closed_form_reference(f.r, f.z, st.r[k], st.z[k], &uk, &ud);
+    row += pair_terms(uk, ud, st.point(k));
+    closed_form_reference(st.r[k], st.z[k], f.r, f.z, &uk, &ud);
+    const detail::InnerAccum c = pair_terms(uk, ud, f);
+    col->v[k] += c.gk_r;
+    col->v[col->n + k] += c.gk_z;
+    col->v[2 * col->n + k] += c.gd00;
+    col->v[3 * col->n + k] += c.gd01;
+    col->v[4 * col->n + k] += c.gd11;
   }
-  return g;
-}
-
-/// Normwise relative error of the five sums of `g` against `ref`.
-double accum_error(const detail::InnerAccum& g, const detail::InnerAccum& ref) {
-  const double d[5] = {g.gk_r - ref.gk_r, g.gk_z - ref.gk_z, g.gd00 - ref.gd00,
-                       g.gd01 - ref.gd01, g.gd11 - ref.gd11};
-  const double v[5] = {ref.gk_r, ref.gk_z, ref.gd00, ref.gd01, ref.gd11};
-  double num = 0.0, den = 0.0;
-  for (int c = 0; c < 5; ++c) {
-    num += d[c] * d[c];
-    den += v[c] * v[c];
-  }
-  return std::sqrt(num / den);
+  return row;
 }
 
 } // namespace
 
 TEST(RowLoopIsa, ClonesAgreeBitwiseOnSinglePairs) {
   // With count = 1 there is no reduction to reorder, and with contraction
-  // off both clones do the same IEEE operations per pair.
-  const RowLoop avx2 = row_loop_clone(1);
+  // off both clones do the same IEEE operations per pair, for the row sums
+  // and the column sums alike.
+  const PairLoop avx2 = pair_loop_clone(1);
   if (!avx2) GTEST_SKIP() << "host lacks AVX2 or FMA";
   std::size_t pairs = 0;
   for_each_sweep_pair([&](double r, double z, double rp, double zp) {
-    const double w = 1.3e-3, tkr = 0.7, tkz = -0.45, td = 1.9;
-    const detail::SourceRun one{&rp, &zp, &w, &tkr, &tkz, &td, 1, 1};
-    const detail::InnerAccum b = detail::inner_row_baseline(r, z, one);
-    const detail::InnerAccum v = avx2(r, z, one);
-    EXPECT_EQ(bits(b.gk_r), bits(v.gk_r)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
-    EXPECT_EQ(bits(b.gk_z), bits(v.gk_z)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
-    EXPECT_EQ(bits(b.gd00), bits(v.gd00)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
-    EXPECT_EQ(bits(b.gd01), bits(v.gd01)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
-    EXPECT_EQ(bits(b.gd11), bits(v.gd11)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+    const detail::FieldPoint f{r, z, 0.91e-3, -0.6e-3, 2.5e-3};
+    const double wtkr = 0.7e-3, wtkz = -0.45e-3, wtd = 1.9e-3;
+    const detail::PointRun one{&rp, &zp, &wtkr, &wtkz, &wtd, 1};
+    double cb[detail::kGDoubles] = {0.1, -0.2, 0.3, -0.4, 0.5};
+    double cv[detail::kGDoubles] = {0.1, -0.2, 0.3, -0.4, 0.5};
+    const detail::InnerAccum b =
+        detail::pair_row_baseline(f, one, {&cb[0], &cb[1], &cb[2], &cb[3], &cb[4]});
+    const detail::InnerAccum v = avx2(f, one, {&cv[0], &cv[1], &cv[2], &cv[3], &cv[4]});
+    const detail::InnerAccum cbs{cb[0], cb[1], cb[2], cb[3], cb[4]};
+    const detail::InnerAccum cvs{cv[0], cv[1], cv[2], cv[3], cv[4]};
+    for (const auto& [x, y] : {std::pair{b, v}, std::pair{cbs, cvs}}) {
+      EXPECT_EQ(bits(x.gk_r), bits(y.gk_r)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+      EXPECT_EQ(bits(x.gk_z), bits(y.gk_z)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+      EXPECT_EQ(bits(x.gd00), bits(y.gd00)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+      EXPECT_EQ(bits(x.gd01), bits(y.gd01)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+      EXPECT_EQ(bits(x.gd11), bits(y.gd11)) << "(" << r << ", " << z << ") <- (" << rp << ", " << zp << ")";
+    }
     ++pairs;
   });
   RecordProperty("pairs", std::to_string(pairs));
 }
 
-class RowLoopIsaRuns : public ::testing::TestWithParam<int> {};
+class PairLoopIsaRuns : public ::testing::TestWithParam<int> {};
 
-TEST_P(RowLoopIsaRuns, MatchClosedFormOnContiguousAndStridedRuns) {
-  // Runs as the back-ends issue them: cuda-sim's 32-pair lane runs (stride
-  // 16 through a 512-point tile), contiguous 32-pair runs, and a long
-  // stride-3 run as a kokkos-sim lane reads. The source points include the
-  // axis and the field point itself (the coincident-point guard).
-  const RowLoop loop = row_loop_clone(GetParam());
+TEST_P(PairLoopIsaRuns, MatchClosedFormOnRowsAndColumns) {
+  // Runs as the back-ends issue them: lane chunks of 1 to 512 points at
+  // any offset, the two halves of a list that wraps, and the own-cell
+  // triangle's short runs. The source points include the axis and the
+  // field point itself (the coincident-point guard).
+  const PairLoop loop = pair_loop_clone(GetParam());
   if (!loop) GTEST_SKIP() << "host lacks AVX2 or FMA";
   constexpr std::size_t n = 512;
   std::mt19937 rng(11);
   std::uniform_real_distribution<double> ur(0.0, 4.0), uz(-4.0, 4.0), uw(0.5e-3, 1.5e-3),
       ut(0.2, 1.0);
-  std::vector<double> r(n), z(n), w(n), sums(3 * n);
+  Staged st;
+  st.n = n;
+  st.r.resize(n);
+  st.z.resize(n);
+  st.sums.resize(3 * n);
   for (std::size_t k = 0; k < n; ++k) {
-    r[k] = k % 37 == 0 ? 0.0 : ur(rng);
-    z[k] = uz(rng);
-    w[k] = uw(rng);
-    sums[k] = ut(rng);         // tk_r
-    sums[n + k] = -ut(rng);    // tk_z
-    sums[2 * n + k] = ut(rng); // td
+    st.r[k] = k % 37 == 0 ? 0.0 : ur(rng);
+    st.z[k] = uz(rng);
+    const double w = uw(rng);
+    st.sums[k] = w * ut(rng);         // w tk_r
+    st.sums[n + k] = -w * ut(rng);    // w tk_z
+    st.sums[2 * n + k] = w * ut(rng); // w td
   }
   struct Run {
-    std::size_t first, count, stride;
+    std::size_t first, count;
   };
-  const Run runs[] = {{0, 32, 16}, {5, 32, 16}, {15, 32, 16}, {0, 32, 1},
-                      {100, 32, 1}, {480, 32, 1}, {1, 170, 3}, {0, 512, 1}};
-  double worst = 0.0;
+  const Run runs[] = {{0, 1},    {3, 2},    {5, 15},   {0, 32},  {100, 55},
+                      {480, 32}, {1, 170},  {37, 38},  {0, 512}, {500, 12}};
+  double worst_row = 0.0, worst_col = 0.0;
   for (const Run& run : runs)
     for (std::size_t i : {std::size_t{0}, std::size_t{5}, std::size_t{37}, std::size_t{200},
                           std::size_t{481}}) {
-      const detail::SourceRun src{r.data() + run.first,         z.data() + run.first,
-                                  w.data() + run.first,         sums.data() + run.first,
-                                  sums.data() + n + run.first,  sums.data() + 2 * n + run.first,
-                                  run.count,                    run.stride};
-      const double e = accum_error(loop(r[i], z[i], src), closed_form_row(r[i], z[i], src));
-      worst = std::max(worst, e);
-      EXPECT_LE(e, 1e-13) << "i=" << i << " first=" << run.first << " count=" << run.count
-                          << " stride=" << run.stride;
+      const detail::FieldPoint f = st.point(i);
+      Columns col(n), ref_col(n);
+      const detail::InnerAccum row = loop(f, st.run(run.first, run.count), col.at(run.first));
+      const detail::InnerAccum ref = closed_form_pairs(f, st, run.first, run.count, &ref_col);
+      // A run of only the field point itself sums to exactly zero.
+      const double e_row =
+          accum_norm2(ref) > 0.0 ? accum_error(row, ref) : std::sqrt(accum_norm2(row));
+      double num = 0.0, den = 0.0;
+      for (std::size_t k = 0; k < col.v.size(); ++k) {
+        num += (col.v[k] - ref_col.v[k]) * (col.v[k] - ref_col.v[k]);
+        den += ref_col.v[k] * ref_col.v[k];
+      }
+      const double e_col = den > 0.0 ? std::sqrt(num / den) : std::sqrt(num);
+      worst_row = std::max(worst_row, e_row);
+      worst_col = std::max(worst_col, e_col);
+      EXPECT_LE(e_row, 1e-13) << "rows: i=" << i << " first=" << run.first
+                              << " count=" << run.count;
+      EXPECT_LE(e_col, 1e-13) << "columns: i=" << i << " first=" << run.first
+                              << " count=" << run.count;
     }
-  RecordProperty("worst_normwise_error", scientific(worst));
+  RecordProperty("worst_row_error", scientific(worst_row));
+  RecordProperty("worst_column_error", scientific(worst_col));
 }
 
-INSTANTIATE_TEST_SUITE_P(Isa, RowLoopIsaRuns, ::testing::Values(0, 1),
+INSTANTIATE_TEST_SUITE_P(Isa, PairLoopIsaRuns, ::testing::Values(0, 1),
                          [](const ::testing::TestParamInfo<int>& p) {
                            return p.param == 0 ? std::string("Baseline") : std::string("Avx2");
                          });
