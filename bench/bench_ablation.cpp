@@ -59,7 +59,7 @@ double run_inner(const std::vector<double>& r, const std::vector<double>& z, Sta
   const detail::PointRun run{r.data(), z.data(), s, s + n, s + 2 * n, n};
   const detail::ColumnSums cols{c, c + n, c + 2 * n, c + 3 * n, c + 4 * n};
   detail::InnerAccum acc;
-  Stopwatch w;
+  obs::Stopwatch w;
   for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t j = 0; j < n; ++j) {
       const detail::SpeciesSums t = stage(j);
@@ -141,12 +141,12 @@ int main(int argc, char** argv) {
     JacobianContext c2 = ctx;
     exec::ThreadPool pool(1);
     c2.atomic_assembly = true;
-    Stopwatch w1;
+    obs::Stopwatch w1;
     assemble_landau_jacobian(Backend::CudaSim, pool, c2, j);
     const double t_atomic = w1.seconds();
     j.zero_entries();
     c2.atomic_assembly = false;
-    Stopwatch w2;
+    obs::Stopwatch w2;
     assemble_landau_jacobian(Backend::CudaSim, pool, c2, j);
     const double t_plain = w2.seconds();
     table.add_row().cell("assembly").cell("atomicAdd").cell(t_atomic, 3).cell(1.0, 2);
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
     la::Vec b(op2.n_total(), 1.0), x(op2.n_total());
 
     la::BlockBandSolver band;
-    Stopwatch w1;
+    obs::Stopwatch w1;
     band.analyze(sys);
     band.factor(sys);
     band.solve(b, x);
@@ -181,20 +181,20 @@ int main(int argc, char** argv) {
 
     exec::ThreadPool dev_pool(1);
     la::DeviceBlockBandSolver dev(dev_pool);
-    Stopwatch w1b;
+    obs::Stopwatch w1b;
     dev.analyze(sys);
     dev.factor(sys);
     dev.solve(b, x);
     const double t_dev = w1b.seconds();
     table.add_row().cell("solver").cell("device band LU").cell(t_dev, 3).cell(t_dev / t_band, 2);
 
-    Stopwatch w2;
+    obs::Stopwatch w2;
     la::DenseLU dense(sys.to_dense());
     dense.solve(b, x);
     const double t_dense = w2.seconds();
     table.add_row().cell("solver").cell("dense LU").cell(t_dense, 3).cell(t_dense / t_band, 2);
 
-    Stopwatch w3;
+    obs::Stopwatch w3;
     x.zero();
     la::GmresOptions gopts;
     gopts.rtol = 1e-10;

@@ -77,7 +77,7 @@ la::CsrMatrix block_system(std::size_t blocks, std::size_t block_n, std::size_t 
 double legacy_factor_solve(const la::CsrMatrix& a, const std::vector<std::int32_t>& perm,
                            const std::vector<la::BlockRange>& ranges, const la::Vec& b,
                            la::Vec& x, int repeats) {
-  Stopwatch w;
+  obs::Stopwatch w;
   for (int r = 0; r < repeats; ++r) {
     la::Vec pb, px;
     for (const auto& blk : ranges) {
@@ -98,7 +98,7 @@ double legacy_factor_solve(const la::CsrMatrix& a, const std::vector<std::int32_
 
 double cached_factor_solve(la::BlockBandSolver& solver, const la::CsrMatrix& a, const la::Vec& b,
                            la::Vec& x, int repeats) {
-  Stopwatch w;
+  obs::Stopwatch w;
   for (int r = 0; r < repeats; ++r) {
     solver.factor(a);
     solver.solve(b, x);

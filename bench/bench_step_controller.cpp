@@ -25,14 +25,14 @@ namespace {
 
 double run_direct(ImplicitIntegrator& integrator, const la::Vec& f0, double dt, int nsteps) {
   la::Vec f = f0;
-  Stopwatch w;
+  obs::Stopwatch w;
   for (int s = 0; s < nsteps; ++s) integrator.step(f, dt);
   return w.seconds();
 }
 
 double run_controller(StepController& controller, const la::Vec& f0, int nsteps) {
   la::Vec f = f0;
-  Stopwatch w;
+  obs::Stopwatch w;
   for (int s = 0; s < nsteps; ++s) controller.advance(f);
   return w.seconds();
 }

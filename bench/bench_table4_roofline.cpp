@@ -40,10 +40,10 @@ int main(int argc, char** argv) {
   la::CsrMatrix j = op.new_matrix();
 
   exec::KernelCounters jac, mass;
-  Stopwatch w1;
+  obs::Stopwatch w1;
   op.add_collision(j, &jac);
   const double t_jac = w1.seconds();
-  Stopwatch w2;
+  obs::Stopwatch w2;
   op.add_mass_kernel(j, 1.0, &mass);
   const double t_mass = w2.seconds();
 

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   const int n_threads = 4;
   auto contend = [&](auto&& add_fn) {
     std::vector<std::thread> threads;
-    Stopwatch w;
+    obs::Stopwatch w;
     for (int t = 0; t < n_threads; ++t)
       threads.emplace_back([&, t] {
         std::size_t idx = static_cast<std::size_t>(t) * 63;

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       LandauOperator op(species, lopts);
       op.pack(op.maxwellian_state());
       la::CsrMatrix j = op.new_matrix();
-      Stopwatch w;
+      obs::Stopwatch w;
       for (int s = 0; s < steps; ++s) {
         j.zero_entries();
         op.add_collision(j);

@@ -1,7 +1,7 @@
 // Table VII: component times of the collision advance — total, Landau matrix
 // construction (with the kernel share), LU factorization and solve — for
-// each back-end, measured for real on this host from the profiler, next to
-// the paper's device numbers.
+// each back-end, measured for real on this host from the timers of the timed
+// spans (obs::MetricsRegistry), next to the paper's device numbers.
 
 #include <cstdio>
 

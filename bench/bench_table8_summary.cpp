@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     la::CsrMatrix j = op.new_matrix();
     // Warm-up, then measure.
     op.add_collision(j);
-    Stopwatch w;
+    obs::Stopwatch w;
     for (int s = 0; s < steps; ++s) {
       j.zero_entries();
       op.add_collision(j);

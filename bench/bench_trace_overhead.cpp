@@ -24,7 +24,7 @@ double measure_steps(LandauOperator& op, int steps, double dt) {
   ImplicitIntegrator integrator(op, nopts);
   la::Vec f = op.maxwellian_state();
   integrator.step(f, dt); // warm-up: metadata fix-up + RCM analysis
-  Stopwatch w;
+  obs::Stopwatch w;
   for (int s = 0; s < steps; ++s) integrator.step(f, dt);
   return w.seconds();
 }
@@ -51,13 +51,13 @@ int main(int argc, char** argv) {
   // --- Micro: per-span cost --------------------------------------------------
   double ns_disabled = 0.0, ns_enabled = 0.0;
   {
-    Stopwatch w;
+    obs::Stopwatch w;
     for (int i = 0; i < reps; ++i) obs::TraceSpan span("bench:noop");
     ns_disabled = w.seconds() * 1e9 / reps;
   }
   tracer.enable();
   {
-    Stopwatch w;
+    obs::Stopwatch w;
     for (int i = 0; i < reps; ++i) obs::TraceSpan span("bench:noop");
     ns_enabled = w.seconds() * 1e9 / reps;
   }

@@ -1,8 +1,9 @@
 #pragma once
 // Shared harness for the paper-reproduction benchmarks: the §V performance
 // problem (electrons + deuterium + eight tungsten charge states), component
-// time measurement via the profiler, and the calibration data that feeds the
-// schedule simulator for the node-level throughput tables.
+// time measurement from the metrics registry's timers, and the calibration
+// data that feeds the schedule simulator for the node-level throughput
+// tables.
 //
 // Two calibration sources for the simulator's per-iteration segment times:
 //  * paper: the single-process component times of Table VII (documents that
@@ -22,10 +23,10 @@
 #include "exec/device.h"
 #include "exec/schedule_sim.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "quench/model.h"
 #include "solver/implicit.h"
 #include "util/options.h"
-#include "util/profiler.h"
 #include "util/table_writer.h"
 
 namespace landau::bench {
@@ -137,11 +138,23 @@ struct ComponentTimes {
   double seconds = 0; // wall time of the measurement
 };
 
-/// Run `steps` implicit steps and report profiler-derived per-iteration
-/// component times.
+/// Growth of one obs::Timer since construction. Timers are process-wide
+/// totals, so a measurement reads differences and never resets them.
+struct TimerDelta {
+  explicit TimerDelta(const char* name)
+      : timer(obs::MetricsRegistry::instance().timer(name)), count0(timer.count()),
+        ns0(timer.ns()) {}
+  std::int64_t count() const { return timer.count() - count0; }
+  double seconds() const { return 1e-9 * static_cast<double>(timer.ns() - ns0); }
+
+  const obs::Timer& timer;
+  std::int64_t count0, ns0;
+};
+
+/// Run `steps` implicit steps and report per-iteration component times from
+/// the timed spans of the operator and the linear solver.
 inline ComponentTimes measure_components(LandauOperator& op, int steps, double dt,
                                          double newton_rtol = 1e-6, int max_iterations = 5) {
-  auto& prof = Profiler::instance();
   // Cost measurement only: cap the quasi-Newton iteration count (the paper's
   // throughput metric deliberately factors out solver tolerance, §V) and
   // silence non-convergence warnings.
@@ -155,20 +168,21 @@ inline ComponentTimes measure_components(LandauOperator& op, int steps, double d
   // Warm-up step: first CPU assembly fixes matrix metadata (§III-F) and the
   // band solver runs its RCM analysis; both are amortized in production.
   integrator.step(f, dt);
-  prof.reset();
-  Stopwatch watch;
+  const TimerDelta matrix("landau:matrix"), pack("landau:pack"),
+      kernel("landau:jacobian-kernel"), factor("landau:factor"), solve("landau:solve");
+  obs::Stopwatch watch;
   for (int s = 0; s < steps; ++s) integrator.step(f, dt);
   const double wall = watch.seconds();
 
   ComponentTimes ct;
-  ct.iterations = static_cast<int>(prof.count("landau:matrix"));
+  ct.iterations = static_cast<int>(matrix.count());
   if (ct.iterations == 0) ct.iterations = 1;
   const double n = ct.iterations;
   ct.total = wall / n;
-  ct.landau = (prof.seconds("landau:matrix") + prof.seconds("landau:pack")) / n;
-  ct.kernel = prof.seconds("landau:jacobian-kernel") / n;
-  ct.factor = prof.seconds("landau:factor") / n;
-  ct.solve = prof.seconds("landau:solve") / n;
+  ct.landau = (matrix.seconds() + pack.seconds()) / n;
+  ct.kernel = kernel.seconds() / n;
+  ct.factor = factor.seconds() / n;
+  ct.solve = solve.seconds() / n;
   ct.seconds = wall;
   Logger::instance().set_level(saved_level);
   return ct;

@@ -14,9 +14,9 @@
 
 #include "core/operator.h"
 #include "exec/stream.h"
+#include "obs/metrics.h"
 #include "solver/implicit.h"
 #include "util/options.h"
-#include "util/profiler.h"
 
 using namespace landau;
 
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
               processes, steps, instances[0].op->forest().n_leaves(), species.size(), workers);
 
   std::atomic<long> iterations{0};
-  Stopwatch watch;
+  obs::Stopwatch watch;
   {
     std::vector<std::unique_ptr<exec::Stream>> streams;
     for (int p = 0; p < processes; ++p) streams.push_back(std::make_unique<exec::Stream>(pool));

@@ -5,7 +5,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
-#include "util/profiler.h"
 
 namespace landau {
 
@@ -218,11 +217,10 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
                     "Jacobian size mismatch");
     cells += ctx.fes->n_cells();
   }
-  ScopedEvent ev("landau:jacobian-kernel");
-  obs::TraceSpan span("landau:jacobian",
-                      {{"species", first.species->size()},
-                       {"cells", cells},
-                       {"ip_points", first.ip->n}});
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:jacobian-kernel");
+  obs::TraceSpan span(timer, {{"species", first.species->size()},
+                              {"cells", cells},
+                              {"ip_points", first.ip->n}});
   landau_inner_integral(backend, pool, first, g, counters);
   for (const auto& ctx : grids) {
     switch (backend) {
@@ -294,9 +292,8 @@ void assemble_mass_kernel(exec::ThreadPool& pool, const JacobianContext& ctx, do
   // The mass kernel replaces all of Algorithm 1 with
   // C <- Transform&Assemble(w[gip]*s, 0, 0, B, 0): pure FE + sparse assembly,
   // the memory-bound contrast case of the paper's roofline study (Table IV).
-  ScopedEvent ev("landau:mass-kernel");
-  obs::TraceSpan span("landau:mass",
-                      {{"species", ctx.species->size()}, {"cells", ctx.fes->n_cells()}});
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:mass-kernel");
+  obs::TraceSpan span(timer, {{"species", ctx.species->size()}, {"cells", ctx.fes->n_cells()}});
   namespace check = exec::check;
   const auto& fes = *ctx.fes;
   const auto& tab = fes.tabulation();

@@ -5,8 +5,8 @@
 
 #include "core/advection.h"
 #include "mesh/refine.h"
+#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/profiler.h"
 
 namespace landau {
 
@@ -138,7 +138,8 @@ la::CsrMatrix MultiGridLandauOperator::new_matrix() const {
 }
 
 void MultiGridLandauOperator::pack(const la::Vec& state) {
-  ScopedEvent ev("landau:pack");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:pack");
+  obs::TraceSpan span(timer);
   const int ns = n_species();
   std::size_t ip_total = 0;
   for (const auto& g : grids_) ip_total += g.fes->n_ips();
@@ -174,7 +175,8 @@ JacobianContext MultiGridLandauOperator::make_context(int g) const {
 
 void MultiGridLandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
-  ScopedEvent ev("landau:matrix");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:matrix");
+  obs::TraceSpan span(timer);
   // One inner integral over the concatenated points of all grids, then
   // Transform & Assemble per grid.
   std::vector<JacobianContext> grids;
@@ -184,7 +186,8 @@ void MultiGridLandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounte
 }
 
 void MultiGridLandauOperator::add_advection(la::CsrMatrix& j, double e_z) const {
-  ScopedEvent ev("landau:advection");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:advection");
+  obs::TraceSpan span(timer);
   for (int g = 0; g < n_grids(); ++g) {
     const auto ctx = make_context(g);
     assemble_advection(ctx, e_z, j);

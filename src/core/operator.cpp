@@ -4,8 +4,8 @@
 
 #include "core/advection.h"
 #include "exec/check.h"
+#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/profiler.h"
 #include "util/robustness.h"
 
 namespace landau {
@@ -114,7 +114,8 @@ la::CsrMatrix LandauOperator::new_matrix() const {
 }
 
 void LandauOperator::pack(const la::Vec& state) {
-  ScopedEvent ev("landau:pack");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:pack");
+  obs::TraceSpan span(timer);
   std::vector<la::Vec> blocks;
   blocks.reserve(static_cast<std::size_t>(n_species()));
   for (int s = 0; s < n_species(); ++s) {
@@ -135,7 +136,8 @@ void LandauOperator::pack(const la::Vec& state) {
 
 void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* counters) {
   LANDAU_ASSERT(ip_.n > 0, "pack() a state before assembling the collision operator");
-  ScopedEvent ev("landau:matrix");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:matrix");
+  obs::TraceSpan span(timer);
   assemble_landau_jacobian(opts_.backend, *pool_, std::span<const JacobianContext>(&ctx_, 1), g_, j,
                            counters);
   if (robustness().paranoid)
@@ -144,7 +146,8 @@ void LandauOperator::add_collision(la::CsrMatrix& j, exec::KernelCounters* count
 }
 
 void LandauOperator::add_advection(la::CsrMatrix& j, double e_z) const {
-  ScopedEvent ev("landau:advection");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:advection");
+  obs::TraceSpan span(timer);
   assemble_advection(ctx_, e_z, j);
 }
 

@@ -7,7 +7,6 @@
 
 #include "la/rcm.h"
 #include "util/error.h"
-#include "util/profiler.h"
 
 namespace landau::la {
 
@@ -246,9 +245,6 @@ void BlockBandSolver::analyze(const CsrMatrix& a) {
   blocks_.assign(ranges.size(), BandBlock());
   for (std::size_t bi = 0; bi < ranges.size(); ++bi)
     blocks_[bi].analyze(a, perm_, inv_, ranges[bi]);
-  flops_scratch_.assign(blocks_.size(), 0);
-  factor_event_ = Profiler::instance().event_id("landau:factor");
-  solve_event_ = Profiler::instance().event_id("landau:solve");
   ++analysis_count_;
 }
 
@@ -256,7 +252,6 @@ void BlockBandSolver::invalidate() {
   perm_.clear();
   inv_.clear();
   blocks_.clear();
-  flops_scratch_.clear();
   bandwidth_ = 0;
 }
 
@@ -267,17 +262,8 @@ void BlockBandSolver::factor(const CsrMatrix& a) {
   // independently; on a GPU each would occupy one or more SMs.
   dispatch_blocks(pool_, blocks_.size(), [this, &a](std::size_t bi) {
     blocks_[bi].load(a);
-    flops_scratch_[bi] = blocks_[bi].lu().factor_lu();
+    blocks_[bi].lu().factor_lu();
   });
-  std::int64_t flops = 0, bytes = 0;
-  for (std::size_t bi = 0; bi < blocks_.size(); ++bi) {
-    flops += flops_scratch_[bi];
-    // Value scatter reads the block's CSR values once; the in-place LU
-    // streams the band storage through once more (read + write).
-    bytes += static_cast<std::int64_t>(blocks_[bi].nnz()) * 8 +
-             static_cast<std::int64_t>(blocks_[bi].lu().data().size()) * 8 * 2;
-  }
-  Profiler::instance().add_work(factor_event_, flops, bytes);
 }
 
 void BlockBandSolver::solve(const Vec& b, Vec& x) {
@@ -289,14 +275,7 @@ void BlockBandSolver::solve(const Vec& b, Vec& x) {
     blk.lu().solve(blk.rhs(), blk.rhs()); // in place in the workspace
   });
   // Scatter back serially: x may alias b, so all reads happen before writes.
-  std::int64_t flops = 0, bytes = 0;
-  for (auto& blk : blocks_) {
-    blk.scatter_solution(x, perm_);
-    flops += blk.lu().solve_flops();
-    bytes += static_cast<std::int64_t>(blk.lu().data().size()) * 8 +
-             static_cast<std::int64_t>(blk.size()) * 8 * 3;
-  }
-  Profiler::instance().add_work(solve_event_, flops, bytes);
+  for (auto& blk : blocks_) blk.scatter_solution(x, perm_);
 }
 
 } // namespace landau::la

@@ -83,11 +83,6 @@ public:
   /// Solve LU x = b after factor_lu(); b and x may alias.
   void solve(const Vec& b, Vec& x) const;
 
-  /// Flop count of one solve() (forward + backward substitution).
-  std::int64_t solve_flops() const {
-    return static_cast<std::int64_t>(n_) * static_cast<std::int64_t>(lbw_ + ubw_ + 2) * 2;
-  }
-
   /// y = A x (only valid before factorization).
   void mult(const Vec& x, Vec& y) const;
 
@@ -127,8 +122,6 @@ public:
 
   std::size_t begin() const { return begin_; }
   std::size_t end() const { return end_; }
-  std::size_t size() const { return end_ - begin_; }
-  std::size_t nnz() const { return scatter_.size(); }
 
   BandMatrix& lu() { return lu_; }
   const BandMatrix& lu() const { return lu_; }
@@ -199,10 +192,8 @@ private:
   std::vector<std::int32_t> perm_; // perm[new] = old
   std::vector<std::int32_t> inv_;
   std::vector<BandBlock> blocks_;
-  std::vector<std::int64_t> flops_scratch_; // per-block factor flops
   std::size_t bandwidth_ = 0;
   long analysis_count_ = 0;
-  int factor_event_ = -1, solve_event_ = -1; // cached profiler ids
 };
 
 } // namespace landau::la

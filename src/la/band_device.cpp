@@ -6,7 +6,6 @@
 #include "exec/annotations.h"
 #include "la/rcm.h"
 #include "util/error.h"
-#include "util/profiler.h"
 
 namespace landau::la {
 
@@ -153,8 +152,6 @@ void DeviceBlockBandSolver::analyze(const CsrMatrix& a) {
     mats_[bi] = &blocks_[bi].lu();
     rhs_[bi] = &blocks_[bi].rhs();
   }
-  factor_event_ = Profiler::instance().event_id("landau:factor");
-  solve_event_ = Profiler::instance().event_id("landau:solve");
   ++analysis_count_;
 }
 
@@ -169,28 +166,20 @@ void DeviceBlockBandSolver::invalidate() {
 void DeviceBlockBandSolver::factor(const CsrMatrix& a) {
   LANDAU_ASSERT(analyzed(), "call analyze() before factor()");
   LANDAU_ASSERT(a.rows() == perm_.size(), "matrix size changed since analyze()");
-  const std::int64_t flops0 = counters_.flops.load();
-  const std::int64_t dram0 = counters_.dram_bytes.load();
   // Host-side value scatter through the cached maps (no band-width
   // rediscovery, no allocation), then one batched device launch.
   for (auto& blk : blocks_) blk.load(a);
   device_band_factor(*pool_, {mats_.data(), mats_.size()}, &counters_);
-  Profiler::instance().add_work(factor_event_, counters_.flops.load() - flops0,
-                                counters_.dram_bytes.load() - dram0);
 }
 
 void DeviceBlockBandSolver::solve(const Vec& b, Vec& x) {
   LANDAU_ASSERT(analyzed(), "call analyze() before solve()");
   LANDAU_ASSERT(b.size() == perm_.size() && x.size() == perm_.size(), "solve size mismatch");
-  const std::int64_t flops0 = counters_.flops.load();
-  const std::int64_t dram0 = counters_.dram_bytes.load();
   for (auto& blk : blocks_) blk.gather_rhs(b, perm_);
   device_band_solve(*pool_, {mats_.data(), mats_.size()}, {rhs_.data(), rhs_.size()},
                     &counters_);
   // Scatter back after all solves so x may alias b.
   for (auto& blk : blocks_) blk.scatter_solution(x, perm_);
-  Profiler::instance().add_work(solve_event_, counters_.flops.load() - flops0,
-                                counters_.dram_bytes.load() - dram0);
 }
 
 } // namespace landau::la

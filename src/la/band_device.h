@@ -70,7 +70,6 @@ private:
   std::vector<Vec*> rhs_;
   exec::KernelCounters counters_;
   long analysis_count_ = 0;
-  int factor_event_ = -1, solve_event_ = -1;
 };
 
 } // namespace landau::la

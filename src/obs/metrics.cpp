@@ -63,6 +63,14 @@ Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<doubl
   return *histograms_.back();
 }
 
+Timer& MetricsRegistry::timer(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& t : timers_)
+    if (t->name() == name) return *t;
+  timers_.push_back(std::make_unique<Timer>(name));
+  return *timers_.back();
+}
+
 JsonValue MetricsRegistry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   JsonValue out = JsonValue::object();
@@ -87,6 +95,14 @@ JsonValue MetricsRegistry::to_json() const {
     histograms.set(h->name(), std::move(hj));
   }
   out.set("histograms", std::move(histograms));
+  JsonValue timers = JsonValue::object();
+  for (const auto& t : timers_) {
+    JsonValue tj = JsonValue::object();
+    tj.set("count", static_cast<long long>(t->count()));
+    tj.set("seconds", t->seconds());
+    timers.set(t->name(), std::move(tj));
+  }
+  out.set("timers", std::move(timers));
   return out;
 }
 
@@ -95,6 +111,7 @@ void MetricsRegistry::reset() {
   for (const auto& c : counters_) c->reset();
   for (const auto& g : gauges_) g->reset();
   for (const auto& h : histograms_) h->reset();
+  for (const auto& t : timers_) t->reset();
 }
 
 StepLog::StepLog() {

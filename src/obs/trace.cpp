@@ -13,7 +13,6 @@
 
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/profiler.h"
 
 namespace landau::obs {
 
@@ -118,9 +117,6 @@ TlsState& tls(std::size_t ring_capacity) {
   return state;
 }
 
-void profiler_span_begin(const char* name) { Tracer::instance().begin(name); }
-void profiler_span_end() { Tracer::instance().end(); }
-
 void write_trace_at_exit() {
   auto& t = Tracer::instance();
   if (t.enabled() && !t.path().empty()) {
@@ -154,13 +150,11 @@ const bool g_tracer_env_parsed = (Tracer::instance(), true);
 
 void Tracer::enable() {
   registry().epoch.fetch_add(1, std::memory_order_relaxed);
-  Profiler::set_span_hooks(&profiler_span_begin, &profiler_span_end);
   detail::g_trace_active.store(true, std::memory_order_relaxed);
 }
 
 void Tracer::disable() {
   detail::g_trace_active.store(false, std::memory_order_relaxed);
-  Profiler::set_span_hooks(nullptr, nullptr);
 }
 
 void Tracer::set_ring_capacity(std::size_t spans) {

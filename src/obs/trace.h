@@ -2,18 +2,23 @@
 // Span tracer: per-thread ring buffers of nested begin/end spans with typed
 // arguments (kernel name, grid/block dims, species, element count), exported
 // as Chrome trace-event JSON (load in chrome://tracing or Perfetto) and as a
-// collapsed self-time tree. This supplies the parent/child hierarchy the
-// profiler header used to promise: Profiler events route here through span
-// hooks (installed on enable), so every ScopedEvent in the solver and
-// assembly layers appears as a span without touching its call site.
+// collapsed self-time tree, which is the parent/child view of a run.
+//
+// TraceSpan is the one RAII type that times a scope. Constructed from a name
+// it is a pure trace span; constructed from an obs::Timer (obs/metrics.h) it
+// also adds its wall time and one call to that timer on every exit, traced or
+// not, and the trace span carries the timer's name. The timers are the flat
+// per-scope totals the component-time benches read (Table VII); the trace is
+// the same scopes with their nesting.
 //
 // Cost model, mirroring the device checker's: with tracing off (the default)
-// every hook is one relaxed atomic load of a global flag — no allocation, no
-// clock read, no branch beyond the test (bench_trace_overhead measures the
-// end-to-end slowdown at < 2% on a relaxation step). With tracing on, each
-// span is two steady_clock reads plus one write into a thread-local ring
-// buffer; no locks are taken on the hot path (the registry mutex is touched
-// only when a thread's buffer is first created).
+// a name-only span is one relaxed atomic load of a global flag — no
+// allocation, no clock read, no branch beyond the test; a timed span adds two
+// steady_clock reads and two relaxed atomic adds (bench_trace_overhead
+// measures the end-to-end slowdown at < 2% on a relaxation step). With
+// tracing on, each span is two steady_clock reads plus one write into a
+// thread-local ring buffer; no locks are taken on the hot path (the registry
+// mutex is touched only when a thread's buffer is first created).
 //
 // Ring semantics: each thread owns a fixed-capacity buffer of *completed*
 // spans; when it wraps, the oldest records are overwritten and a drop count
@@ -32,6 +37,7 @@
 //   std::puts(obs::Tracer::instance().self_time_report().c_str());
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <string>
@@ -39,6 +45,7 @@
 
 #include "exec/annotations.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace landau::obs {
 
@@ -64,7 +71,7 @@ inline constexpr int kMaxTraceArgs = 4;
 
 /// One completed span as stored in a thread's ring buffer.
 struct SpanRecord {
-  const char* name = nullptr; // static storage or profiler-interned
+  const char* name = nullptr; // static storage or an obs::Timer's name
   std::int64_t t0_ns = 0, t1_ns = 0;
   std::int32_t tid = 0;
   std::int32_t depth = 0; // nesting depth at begin (0 = top level)
@@ -109,7 +116,7 @@ public:
   std::size_t ring_capacity() const { return ring_capacity_.load(std::memory_order_relaxed); }
 
   /// Begin/end one span on the calling thread. `name` must outlive the
-  /// tracer (string literal or profiler-interned). No-ops when disabled;
+  /// tracer (string literal or an obs::Timer's name). No-ops when disabled;
   /// an end() without a live begin() is ignored (cross-enable unwind).
   void begin(const char* name) { begin(name, {}); }
   void begin(const char* name, std::initializer_list<TraceArg> args);
@@ -126,7 +133,7 @@ public:
   /// name path, children sorted by total time descending).
   SpanTreeNode build_tree() const;
   /// Indented text rendering of build_tree() — the hierarchical view the
-  /// flat Profiler::report() cannot provide across threads.
+  /// flat timer totals cannot provide across threads.
   std::string self_time_report() const;
 
   /// Chrome trace-event JSON (an array of "X" complete events); loads in
@@ -142,7 +149,9 @@ private:
   std::atomic<std::size_t> ring_capacity_{1u << 15};
 };
 
-/// RAII span; the disabled path is a single flag test per constructor.
+/// RAII span. Name-only: the disabled path is a single flag test per
+/// constructor. Timed: always adds its duration to the timer, and records a
+/// span under the timer's name when tracing is on.
 class TraceSpan {
 public:
   explicit TraceSpan(const char* name) {
@@ -157,13 +166,27 @@ public:
       Tracer::instance().begin(name, args);
     }
   }
+  explicit TraceSpan(Timer& timer) : TraceSpan(timer, {}) {}
+  TraceSpan(Timer& timer, std::initializer_list<TraceArg> args)
+      : timer_(&timer), t0_(std::chrono::steady_clock::now()) {
+    if (tracing()) {
+      live_ = true;
+      Tracer::instance().begin(timer.name().c_str(), args);
+    }
+  }
   ~TraceSpan() {
     if (live_) Tracer::instance().end();
+    if (timer_)
+      timer_->add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - t0_)
+                      .count());
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
 private:
+  Timer* timer_ = nullptr;
+  std::chrono::steady_clock::time_point t0_{};
   bool live_ = false;
 };
 

@@ -3,10 +3,10 @@
 #include <cmath>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "quench/spitzer.h"
 #include "util/checkpoint.h"
 #include "util/logging.h"
-#include "util/profiler.h"
 
 namespace landau::quench {
 
@@ -118,7 +118,8 @@ bool QuenchModel::load_checkpoint(QuenchResult& result, LoopState& ls) {
 }
 
 QuenchResult QuenchModel::run() {
-  ScopedEvent ev("quench:run");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("quench:run");
+  obs::TraceSpan span(timer);
   QuenchResult result;
   const double z_eff = op_.species().z_eff();
   const double e_c = critical_field(opts_.te_ev, 1.0);
@@ -227,7 +228,8 @@ QuenchResult QuenchModel::run() {
 
 ResistivityResult measure_resistivity(LandauOperator& op, double e_z, double dt, int max_steps,
                                       double tol, LinearSolverKind linear, NewtonOptions newton) {
-  ScopedEvent ev("quench:resistivity");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("quench:resistivity");
+  obs::TraceSpan span(timer);
   ImplicitIntegrator integrator(op, newton, linear);
   StepControllerOptions copts;
   copts.dt_initial = dt;

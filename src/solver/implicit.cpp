@@ -4,8 +4,8 @@
 #include <limits>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/profiler.h"
 #include "util/robustness.h"
 
 namespace landau {
@@ -43,6 +43,8 @@ void ImplicitIntegrator::factor_and_solve(const la::CsrMatrix& jmat, const la::V
   if (robustness().paranoid)
     LANDAU_ASSERT(jmat.all_finite(), "paranoid: non-finite entries in the Newton matrix");
   invalidate_if_structure_changed(jmat);
+  static obs::Timer& factor_timer = obs::MetricsRegistry::instance().timer("landau:factor");
+  static obs::Timer& solve_timer = obs::MetricsRegistry::instance().timer("landau:solve");
   auto fire_solve_fault = [&fault] {
     if (fault.armed() && fault.fire(FaultKind::Throw, "solve"))
       LANDAU_THROW("injected fault: triangular solve failure");
@@ -55,10 +57,10 @@ void ImplicitIntegrator::factor_and_solve(const la::CsrMatrix& jmat, const la::V
                                      << band_.bandwidth());
       }
       {
-        ScopedEvent ev("landau:factor");
+        obs::TraceSpan span(factor_timer);
         band_.factor(jmat);
       }
-      ScopedEvent ev("landau:solve");
+      obs::TraceSpan span(solve_timer);
       fire_solve_fault();
       band_.solve(rhs, x);
       break;
@@ -67,10 +69,10 @@ void ImplicitIntegrator::factor_and_solve(const la::CsrMatrix& jmat, const la::V
       if (!device_band_) device_band_ = std::make_unique<la::DeviceBlockBandSolver>(op_.worker_pool());
       if (!device_band_->analyzed()) device_band_->analyze(jmat);
       {
-        ScopedEvent ev("landau:factor");
+        obs::TraceSpan span(factor_timer);
         device_band_->factor(jmat);
       }
-      ScopedEvent ev("landau:solve");
+      obs::TraceSpan span(solve_timer);
       fire_solve_fault();
       device_band_->solve(rhs, x);
       break;
@@ -78,16 +80,16 @@ void ImplicitIntegrator::factor_and_solve(const la::CsrMatrix& jmat, const la::V
     case LinearSolverKind::DenseLU: {
       std::unique_ptr<la::DenseLU> lu;
       {
-        ScopedEvent ev("landau:factor");
+        obs::TraceSpan span(factor_timer);
         lu = std::make_unique<la::DenseLU>(jmat.to_dense());
       }
-      ScopedEvent ev2("landau:solve");
+      obs::TraceSpan span(solve_timer);
       fire_solve_fault();
       lu->solve(rhs, x);
       break;
     }
     case LinearSolverKind::Gmres: {
-      ScopedEvent ev("landau:solve");
+      obs::TraceSpan span(solve_timer);
       x.zero();
       la::GmresOptions gopts;
       gopts.rtol = lsopts_.gmres_rtol;
@@ -107,7 +109,8 @@ void ImplicitIntegrator::factor_and_solve(const la::CsrMatrix& jmat, const la::V
 }
 
 StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::Vec* source) {
-  ScopedEvent ev("landau:step");
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:step");
+  obs::TraceSpan span(timer);
   auto& fault = FaultInjector::instance();
   fault.begin_attempt();
   const std::size_t n = op_.n_total();
@@ -238,7 +241,7 @@ StepStats ImplicitIntegrator::step(la::Vec& f, double dt, double e_z, const la::
   if (!stats.converged && !stats.stagnated && !stats.non_finite)
     LANDAU_WARN("Newton did not converge: |G| = " << stats.residual_norm << " after "
                                                   << stats.newton_iterations << " iterations");
-  // Telemetry of record for the step log and check.sh telemetry stage; the
+  // Telemetry of record for the step log and the telemetry ctest; the
   // handles are resolved once and the updates are relaxed atomics.
   static obs::Counter& newton_total =
       obs::MetricsRegistry::instance().counter("solver.newton.iterations");

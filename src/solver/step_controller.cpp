@@ -4,15 +4,13 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/logging.h"
-#include "util/profiler.h"
 
 namespace landau {
 
 StepController::StepController(ImplicitIntegrator& integrator, StepControllerOptions opts)
-    : integrator_(integrator), opts_(opts), dt_(opts.dt_initial),
-      advance_event_(Profiler::instance().event_id("controller:advance")),
-      reject_event_(Profiler::instance().event_id("controller:reject")) {
+    : integrator_(integrator), opts_(opts), dt_(opts.dt_initial) {
   LANDAU_ASSERT(opts_.dt_initial > 0.0, "dt_initial must be positive");
   LANDAU_ASSERT(opts_.dt_min > 0.0 && opts_.dt_min <= opts_.dt_initial,
                 "dt_min must be in (0, dt_initial]");
@@ -39,7 +37,8 @@ void StepController::restore_state(const PersistedState& s) {
 }
 
 AdvanceStats StepController::advance(la::Vec& f, double e_z, const la::Vec* source) {
-  ScopedEvent ev(advance_event_);
+  static obs::Timer& timer = obs::MetricsRegistry::instance().timer("controller:advance");
+  obs::TraceSpan span(timer);
   snapshot_ = f; // rollback point; reuses capacity after the first advance
   AdvanceStats out;
 
@@ -111,7 +110,6 @@ AdvanceStats StepController::advance(la::Vec& f, double e_z, const la::Vec* sour
     static obs::Counter& rejected_ctr =
         obs::MetricsRegistry::instance().counter("controller.rejected");
     rejected_ctr.inc();
-    Profiler::instance().add(reject_event_, 0.0, 1);
     easy_count_ = 0;
     if (last)
       LANDAU_THROW("step controller: step rejected " << out.rejections

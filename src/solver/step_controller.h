@@ -92,7 +92,6 @@ private:
   long accepted_ = 0;
   long rejected_ = 0;
   la::Vec snapshot_; // pre-step state, reused across advances (no realloc)
-  int advance_event_ = -1, reject_event_ = -1; // cached profiler ids
 };
 
 } // namespace landau

@@ -1,6 +1,7 @@
 #pragma once
 // Minimal leveled logger. A single global logger writes to stderr; verbosity
-// is controlled programmatically or with the -landau_log_level option.
+// is set programmatically with Logger::set_level (no command-line option or
+// environment variable reads it).
 
 #include <iostream>
 #include <mutex>

@@ -1,7 +1,8 @@
 // Observability subsystem: span tracer (nesting, thread merge, Chrome-trace
 // export parsed back through the JSON parser), metrics registry (bucket
-// edges, stable handles), the NDJSON step-log schema on a short quench run,
-// and the bench_compare tool's pass/fail behavior on synthetic regressions.
+// edges, stable handles, timers fed by timed spans on any thread), the
+// NDJSON step-log schema on a short quench run, and the bench_compare tool's
+// pass/fail behavior on synthetic regressions.
 
 #include <gtest/gtest.h>
 
@@ -15,13 +16,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "exec/thread_pool.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/roofline.h"
 #include "obs/trace.h"
 #include "quench/model.h"
 #include "util/error.h"
-#include "util/profiler.h"
 
 using namespace landau;
 
@@ -190,21 +191,31 @@ TEST(ObsTrace, ChromeTraceParsesBackWithArgs) {
   EXPECT_DOUBLE_EQ(e.find("args")->find("ai")->as_double(), 15.75);
 }
 
-TEST(ObsTrace, ProfilerEventsBecomeSpansThroughHooks) {
+TEST(ObsTrace, TimedSpanCountsOnceInTimerAndTree) {
   TracerGuard guard;
   auto& tracer = obs::Tracer::instance();
+  obs::Timer& timer = obs::MetricsRegistry::instance().timer("obs-test:timed");
+  timer.reset();
   tracer.enable();
   {
-    ScopedEvent outer("obs-test:outer");
-    ScopedEvent inner("obs-test:inner");
+    obs::TraceSpan outer(timer, {{"cells", 3}});
+    obs::TraceSpan inner("obs-test:inner");
   }
   tracer.disable();
 
+  EXPECT_EQ(timer.count(), 1);
   const obs::SpanTreeNode root = tracer.build_tree();
   ASSERT_EQ(root.children.size(), 1u);
-  EXPECT_EQ(root.children[0].name, "obs-test:outer");
-  ASSERT_EQ(root.children[0].children.size(), 1u);
-  EXPECT_EQ(root.children[0].children[0].name, "obs-test:inner");
+  const auto& node = root.children[0];
+  EXPECT_EQ(node.name, "obs-test:timed");
+  EXPECT_EQ(node.count, 1);
+  // The timer's interval encloses the trace span's.
+  EXPECT_GE(timer.ns(), node.total_ns);
+  ASSERT_EQ(node.children.size(), 1u);
+  EXPECT_EQ(node.children[0].name, "obs-test:inner");
+  const auto records = tracer.snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].n_args, 1);
 }
 
 TEST(ObsTrace, RingWrapKeepsMostRecentAndCountsDrops) {
@@ -255,6 +266,10 @@ TEST(ObsMetrics, RegistryHandlesAreStableAndSerialized) {
   c1.inc(3);
   reg.gauge("obs-test.gauge").set(2.5);
   reg.histogram("obs-test.hist", {1.0}).observe(0.5);
+  obs::Timer& t1 = reg.timer("obs-test.timer");
+  EXPECT_EQ(&t1, &reg.timer("obs-test.timer"));
+  t1.reset();
+  { obs::TraceSpan span(t1); }
 
   const obs::JsonValue doc = obs::JsonValue::parse(reg.to_json().dump());
   EXPECT_EQ(doc.find("counters")->find("obs-test.counter")->as_int(), 3);
@@ -263,6 +278,82 @@ TEST(ObsMetrics, RegistryHandlesAreStableAndSerialized) {
   ASSERT_NE(h, nullptr);
   EXPECT_GE(h->find("count")->as_int(), 1);
   EXPECT_EQ(h->find("buckets")->size(), 2u); // one edge + overflow
+  const obs::JsonValue* t = doc.find("timers")->find("obs-test.timer");
+  ASSERT_NE(t, nullptr);
+  EXPECT_EQ(t->find("count")->as_int(), 1);
+  EXPECT_GE(t->find("seconds")->as_double(), 0.0);
+}
+
+TEST(ObsTimer, AccumulatesTimeAndCount) {
+  obs::Timer& timer = obs::MetricsRegistry::instance().timer("obs-test:event");
+  timer.reset();
+  for (int i = 0; i < 3; ++i) {
+    obs::TraceSpan span(timer);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(timer.count(), 3);
+  EXPECT_GE(timer.seconds(), 0.005);
+  EXPECT_LT(timer.seconds(), 1.0);
+}
+
+TEST(ObsTimer, NestedSpansBothAccumulate) {
+  auto& reg = obs::MetricsRegistry::instance();
+  obs::Timer& outer_timer = reg.timer("obs-test:outer");
+  obs::Timer& inner_timer = reg.timer("obs-test:inner");
+  outer_timer.reset();
+  inner_timer.reset();
+  {
+    obs::TraceSpan outer(outer_timer);
+    obs::TraceSpan inner(inner_timer);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(outer_timer.count(), 1);
+  EXPECT_EQ(inner_timer.count(), 1);
+  EXPECT_GE(outer_timer.ns(), inner_timer.ns());
+}
+
+TEST(ObsTimer, UnknownNameReadsZero) {
+  const obs::Timer& timer = obs::MetricsRegistry::instance().timer("obs-test:never-used");
+  EXPECT_EQ(timer.count(), 0);
+  EXPECT_EQ(timer.seconds(), 0.0);
+}
+
+TEST(ObsTimer, ResetZeroesAccumulators) {
+  obs::Timer& timer = obs::MetricsRegistry::instance().timer("obs-test:reset-me");
+  { obs::TraceSpan span(timer); }
+  EXPECT_EQ(timer.count(), 1);
+  timer.reset();
+  EXPECT_EQ(timer.count(), 0);
+  EXPECT_EQ(timer.ns(), 0);
+}
+
+TEST(ObsTimer, WorkerSpansSumAcrossThreadPool) {
+  TracerGuard guard;
+  auto& tracer = obs::Tracer::instance();
+  obs::Timer& timer = obs::MetricsRegistry::instance().timer("obs-test:worker");
+  timer.reset();
+  constexpr std::size_t kTasks = 32;
+  exec::ThreadPool pool(4);
+  tracer.enable();
+  obs::Stopwatch wall;
+  pool.parallel_for(kTasks, [&](std::size_t) {
+    obs::TraceSpan span(timer);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  const double wall_s = wall.seconds();
+  tracer.disable();
+
+  EXPECT_EQ(timer.count(), static_cast<std::int64_t>(kTasks));
+  EXPECT_GE(timer.seconds(), 1e-3 * kTasks);
+  // Spans on one worker never overlap, so the total cannot exceed what the
+  // workers could run in the wall time.
+  EXPECT_LE(timer.seconds(), pool.n_workers() * wall_s);
+  // Every span is recorded once, merged across threads, and each timer
+  // interval encloses its trace span.
+  const obs::SpanTreeNode root = tracer.build_tree();
+  ASSERT_EQ(root.children.size(), 1u);
+  EXPECT_EQ(root.children[0].count, static_cast<std::int64_t>(kTasks));
+  EXPECT_GE(timer.ns(), root.children[0].total_ns);
 }
 
 // ---------------------------------------------------------------------------

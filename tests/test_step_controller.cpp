@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <unistd.h>
 
 #include "quench/model.h"
 #include "solver/step_controller.h"
@@ -23,6 +25,13 @@
 using namespace landau;
 
 namespace {
+
+/// Scratch file name unique to this process: landau_tests and
+/// landau_robustness_tests both run these tests and may run at the same time
+/// (ctest -j).
+std::string temp_path(const std::string& name) {
+  return testing::TempDir() + name + "." + std::to_string(::getpid());
+}
 
 /// Tiny single-species electron problem: step cost is milliseconds, Newton
 /// converges in a couple of iterations from a Maxwellian.
@@ -361,7 +370,7 @@ TEST_F(StepControllerTest, PersistedStateRoundTrips) {
 }
 
 TEST_F(CheckpointFile, ScalarAndVectorRoundTrip) {
-  const std::string path = testing::TempDir() + "ckpt_roundtrip.bin";
+  const std::string path = temp_path("ckpt_roundtrip.bin");
   util::CheckpointWriter w;
   w.put_f64(3.14159);
   w.put_i64(-42);
@@ -381,7 +390,7 @@ TEST_F(CheckpointFile, ScalarAndVectorRoundTrip) {
 }
 
 TEST_F(CheckpointFile, TypeTagMismatchThrows) {
-  const std::string path = testing::TempDir() + "ckpt_tag.bin";
+  const std::string path = temp_path("ckpt_tag.bin");
   util::CheckpointWriter w;
   w.put_i64(7);
   w.save(path);
@@ -391,7 +400,7 @@ TEST_F(CheckpointFile, TypeTagMismatchThrows) {
 }
 
 TEST_F(CheckpointFile, CorruptionIsDetected) {
-  const std::string path = testing::TempDir() + "ckpt_corrupt.bin";
+  const std::string path = temp_path("ckpt_corrupt.bin");
   util::CheckpointWriter w;
   w.put_f64(1.0);
   w.put_f64(2.0);
@@ -412,7 +421,7 @@ TEST_F(CheckpointFile, CorruptionIsDetected) {
 }
 
 TEST_F(CheckpointFile, TruncationIsDetected) {
-  const std::string path = testing::TempDir() + "ckpt_trunc.bin";
+  const std::string path = temp_path("ckpt_trunc.bin");
   util::CheckpointWriter w;
   la::Vec v(64, 1.25);
   w.put_vec(v.span());
@@ -423,7 +432,7 @@ TEST_F(CheckpointFile, TruncationIsDetected) {
 }
 
 TEST_F(CheckpointFile, MissingFileThrowsAndExistsReports) {
-  const std::string path = testing::TempDir() + "ckpt_missing.bin";
+  const std::string path = temp_path("ckpt_missing.bin");
   std::remove(path.c_str());
   EXPECT_FALSE(util::checkpoint_exists(path));
   EXPECT_THROW(util::CheckpointReader r(path), landau::Error);
@@ -474,7 +483,7 @@ TEST_F(QuenchRecovery, NanFaultMidQuenchStillCompletes) {
 }
 
 TEST_F(QuenchRecovery, ResumeAfterKillMatchesUninterruptedRun) {
-  const std::string path = testing::TempDir() + "quench_resume.ckpt";
+  const std::string path = temp_path("quench_resume.ckpt");
   std::remove(path.c_str());
 
   // Uninterrupted reference run (no checkpointing so the file stays free for

@@ -1,68 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <thread>
 
-#include "util/profiler.h"
 #include "util/table_writer.h"
 
 using namespace landau;
-
-TEST(Profiler, AccumulatesTimeAndCount) {
-  auto& p = Profiler::instance();
-  p.reset();
-  const int id = p.event_id("test:event");
-  for (int i = 0; i < 3; ++i) {
-    ScopedEvent ev(id);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(p.count("test:event"), 3);
-  EXPECT_GE(p.seconds("test:event"), 0.005);
-  EXPECT_LT(p.seconds("test:event"), 1.0);
-}
-
-TEST(Profiler, NestedEventsBothAccumulate) {
-  auto& p = Profiler::instance();
-  p.reset();
-  {
-    ScopedEvent outer("test:outer");
-    ScopedEvent inner("test:inner");
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(p.count("test:outer"), 1);
-  EXPECT_EQ(p.count("test:inner"), 1);
-  EXPECT_GE(p.seconds("test:outer"), p.seconds("test:inner") * 0.9);
-}
-
-TEST(Profiler, UnknownEventReadsZero) {
-  EXPECT_EQ(Profiler::instance().seconds("test:never-used"), 0.0);
-  EXPECT_EQ(Profiler::instance().count("test:never-used"), 0);
-}
-
-TEST(Profiler, ResetZeroesAccumulators) {
-  auto& p = Profiler::instance();
-  {
-    ScopedEvent ev("test:reset-me");
-  }
-  p.reset();
-  EXPECT_EQ(p.count("test:reset-me"), 0);
-}
-
-TEST(Profiler, AddExternalTime) {
-  auto& p = Profiler::instance();
-  p.reset();
-  p.add(p.event_id("test:external"), 1.5, 7);
-  EXPECT_NEAR(p.seconds("test:external"), 1.5, 1e-6);
-  EXPECT_EQ(p.count("test:external"), 7);
-}
-
-TEST(Profiler, ReportListsActiveEvents) {
-  auto& p = Profiler::instance();
-  p.reset();
-  p.add(p.event_id("test:visible"), 0.25, 2);
-  const auto report = p.report();
-  EXPECT_NE(report.find("test:visible"), std::string::npos);
-}
 
 TEST(TableWriter, AlignsColumnsAndRendersCaption) {
   TableWriter t("my caption");
