@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
   qopts.newton.rtol = opts.get<double>("newton_rtol", 1e-6, "Newton tolerance");
   qopts.newton.max_iterations = opts.get<int>("newton_max_it", 12, "Newton iteration cap");
   const double ion_mass = opts.get<double>("ion_mass", 50.0, "ion mass (m_e)");
-  const std::string csv = opts.get<std::string>("csv", "fig5_quench.csv", "CSV output");
+  const std::string csv =
+      opts.get<std::string>("csv", "", "CSV output path (none unless given)");
 
   auto species = SpeciesSet::electron_deuterium();
   if (ion_mass > 0) species[1].mass = ion_mass;

@@ -8,7 +8,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/multigrid.h"
 #include "core/operator.h"
 #include "fem/fespace.h"
 #include "mesh/refine.h"
@@ -112,7 +111,7 @@ int main(int argc, char** argv) {
               integrator.band_blocks(), integrator.band_bandwidth());
 
   // --- the same plasma on per-cluster grids (§III-H, real operator) --------
-  MultiGridLandauOperator mg(species, lopts);
+  LandauOperator mg(species, lopts, 2.0); // species within 2x thermal speed share a grid
   std::printf("\nmulti-grid operator: %d grids, %zu total IPs, %zu equations"
               " (single grid: %zu equations)\n",
               mg.n_grids(), mg.n_ips_total(), mg.n_total(), op.n_total());

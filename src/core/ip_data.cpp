@@ -4,23 +4,24 @@
 
 namespace landau {
 
-void pack_ip_data(const fem::FESpace& fes, std::span<const la::Vec> states, IPData* out) {
-  const int ns = static_cast<int>(states.size());
-  LANDAU_ASSERT(ns >= 1, "need at least one species state");
-  out->resize(ns, fes.n_ips());
-
-  fes.ip_coordinates(out->r, out->z, out->w);
+void pack_ip_data(const fem::FESpace& fes, std::size_t ip_offset, std::span<const int> species,
+                  std::span<const std::size_t> block_offsets, std::span<const double> state,
+                  IPData* out) {
+  const std::size_t n = fes.n_ips();
+  LANDAU_ASSERT(ip_offset + n <= out->n, "grid points exceed the packed arrays");
+  fes.ip_coordinates({out->r.data() + ip_offset, n}, {out->z.data() + ip_offset, n},
+                     {out->w.data() + ip_offset, n});
   // Fold the cylindrical factor r into the packed weight (dvbar rbar in
   // eqs. 7-8; the same weight serves the outer integral's dv r).
-  for (std::size_t j = 0; j < out->n; ++j) out->w[j] *= out->r[j];
+  for (std::size_t j = ip_offset; j < ip_offset + n; ++j) out->w[j] *= out->r[j];
 
-  for (int s = 0; s < ns; ++s) {
-    LANDAU_ASSERT(states[static_cast<std::size_t>(s)].size() == fes.n_dofs(),
+  for (int s : species) {
+    const std::size_t first = block_offsets[static_cast<std::size_t>(s)];
+    LANDAU_ASSERT(s < out->n_species && first + fes.n_dofs() <= state.size(),
                   "state size mismatch for species " << s);
-    const std::size_t off = static_cast<std::size_t>(s) * out->n;
-    fes.eval_at_ips(states[static_cast<std::size_t>(s)].span(),
-                    {out->f.data() + off, out->n}, {out->dfr.data() + off, out->n},
-                    {out->dfz.data() + off, out->n});
+    const std::size_t off = static_cast<std::size_t>(s) * out->n + ip_offset;
+    fes.eval_at_ips(state.subspan(first, fes.n_dofs()), {out->f.data() + off, n},
+                    {out->dfr.data() + off, n}, {out->dfz.data() + off, n});
   }
 }
 

@@ -5,7 +5,7 @@
 // the emulated device. The element and integration-point loops of the inner
 // integral are merged over these flat arrays, exactly as in the paper.
 //
-// In multi-grid mode (§III-H) the arrays concatenate every grid's points and
+// With several grids (§III-H) the arrays concatenate every grid's points and
 // a species' values are nonzero only on the points of its own grid, so the
 // single flattened inner loop computes the union of the per-grid integrals
 // without branching.
@@ -51,8 +51,13 @@ struct IPData {
   }
 };
 
-/// Pack a single-grid state: one FE space shared by all species, one free-dof
-/// vector per species.
-void pack_ip_data(const fem::FESpace& fes, std::span<const la::Vec> states, IPData* out);
+/// Pack one grid's points into `out`, sized by IPData::resize for the points
+/// of every grid: the coordinates and weights of fes's points at
+/// [ip_offset, ip_offset + fes.n_ips()), and the value and gradients of each
+/// species in `species`, whose free dofs start at state[block_offsets[s]].
+/// Other species' entries at these points are left as they are (zero).
+void pack_ip_data(const fem::FESpace& fes, std::size_t ip_offset, std::span<const int> species,
+                  std::span<const std::size_t> block_offsets, std::span<const double> state,
+                  IPData* out);
 
 } // namespace landau

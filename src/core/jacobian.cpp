@@ -17,13 +17,6 @@ const char* backend_name(Backend b) {
   return "?";
 }
 
-bool JacobianContext::species_on_grid(int s) const {
-  if (!grid_species) return true;
-  for (int g : *grid_species)
-    if (g == s) return true;
-  return false;
-}
-
 void JacobianContext::init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d) {
   fes = &f;
   species = &s;
@@ -40,23 +33,13 @@ void JacobianContext::init(const fem::FESpace& f, const SpeciesSet& s, const IPD
     q2_over_m[static_cast<std::size_t>(b)] = q * q / m;
     q2_over_m2[static_cast<std::size_t>(b)] = q * q / (m * m);
   }
-}
-
-la::SparsityPattern landau_jacobian_sparsity(const fem::FESpace& fes, int n_species) {
-  const std::size_t nf = fes.n_dofs();
-  la::SparsityPattern pattern(nf * static_cast<std::size_t>(n_species),
-                              nf * static_cast<std::size_t>(n_species));
-  for (std::size_t c = 0; c < fes.n_cells(); ++c) {
-    const auto dofs = fes.dofmap().cell_free_dofs(c);
-    for (int s = 0; s < n_species; ++s) {
-      const std::size_t off = static_cast<std::size_t>(s) * nf;
-      for (auto di : dofs)
-        for (auto dj : dofs)
-          pattern.add(off + static_cast<std::size_t>(di), off + static_cast<std::size_t>(dj));
-    }
+  ip_offset = 0;
+  grid_species.resize(static_cast<std::size_t>(ns));
+  species_offsets.resize(static_cast<std::size_t>(ns));
+  for (int b = 0; b < ns; ++b) {
+    grid_species[static_cast<std::size_t>(b)] = b;
+    species_offsets[static_cast<std::size_t>(b)] = static_cast<std::size_t>(b) * n_free();
   }
-  pattern.compress();
-  return pattern;
 }
 
 namespace detail {
@@ -73,7 +56,8 @@ LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell
     // cell's fixed slot range — disjoint per cell, so no atomics are needed.
     // Slot order is species, a, b, then the closure pair; one species spans
     // (sum_a |closure(a)|)^2 slots.
-    LANDAU_ASSERT(!ctx.grid_species, "COO assembly supports single-grid operators only");
+    LANDAU_ASSERT(ctx.grid_species.size() == static_cast<std::size_t>(ns),
+                  "COO assembly supports single-grid operators only");
     const std::size_t base = (*ctx.coo_cell_offsets)[cell];
     std::size_t per_species = 0;
     for (int a = 0; a < nb; ++a) per_species += dm.closure(nodes[static_cast<std::size_t>(a)]).size();
@@ -99,28 +83,25 @@ LANDAU_DEVICE void assemble_element(const JacobianContext& ctx, std::size_t cell
   }
   const auto rowptr = j.row_offsets();
   const auto colind = j.col_indices();
-  int s0 = 0; // first species with dofs on this grid (§III-H)
-  while (s0 < ns && !ctx.species_on_grid(s0)) ++s0;
-  if (s0 == ns) return;
-  const std::size_t off0 = ctx.block_offset(s0);
+  // Every species block of J shares one pattern: resolve each entry's
+  // position in the first block of this grid, then add each species' offset.
+  if (ctx.grid_species.empty()) return;
+  const std::size_t off0 = ctx.species_offsets[static_cast<std::size_t>(ctx.grid_species.front())];
   for (int a = 0; a < nb; ++a) {
     const auto ca = dm.closure(nodes[static_cast<std::size_t>(a)]);
     for (int b = 0; b < nb; ++b) {
       const auto cb = dm.closure(nodes[static_cast<std::size_t>(b)]);
       for (const auto& [di, wi] : ca)
         for (const auto& [dj, wj] : cb) {
-          // Position of column dj within row di, the same in every species
-          // block; each species adds its row offset.
           const std::size_t row0 = off0 + static_cast<std::size_t>(di);
           const std::size_t pos =
               j.entry_index(row0, off0 + static_cast<std::size_t>(dj)) -
               static_cast<std::size_t>(rowptr[row0]);
           const double w = wi * wj;
-          for (int s = s0; s < ns; ++s) {
-            if (!ctx.species_on_grid(s)) continue; // dofs live on another grid (§III-H)
+          for (int s : ctx.grid_species) {
             const double v = ce.at(s, a, b);
             if (fp::exact_eq(v, 0.0)) continue; // sparsity skip: bitwise compare intended
-            const std::size_t off = ctx.block_offset(s);
+            const std::size_t off = ctx.species_offsets[static_cast<std::size_t>(s)];
             const std::size_t k =
                 static_cast<std::size_t>(rowptr[off + static_cast<std::size_t>(di)]) + pos;
             LANDAU_ASSERT(static_cast<std::size_t>(colind[k]) == off + static_cast<std::size_t>(dj),
@@ -208,15 +189,14 @@ void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
   LANDAU_ASSERT(!grids.empty(), "no grid to assemble");
   const JacobianContext& first = grids.front();
   LANDAU_ASSERT(first.fes && first.species && first.ip, "JacobianContext not initialized");
-  std::size_t cells = 0;
+  std::size_t cells = 0, rows = 0;
   for (const auto& ctx : grids) {
     LANDAU_ASSERT(ctx.ip == first.ip && ctx.species == first.species,
                   "grids of one operator share the packed points and species");
-    if (!ctx.species_offsets)
-      LANDAU_ASSERT(j.rows() == ctx.n_free() * static_cast<std::size_t>(ctx.species->size()),
-                    "Jacobian size mismatch");
     cells += ctx.fes->n_cells();
+    rows += ctx.n_free() * ctx.grid_species.size();
   }
+  LANDAU_ASSERT(j.rows() == rows, "Jacobian size mismatch");
   static obs::Timer& timer = obs::MetricsRegistry::instance().timer("landau:jacobian-kernel");
   obs::TraceSpan span(timer, {{"species", first.species->size()},
                               {"cells", cells},

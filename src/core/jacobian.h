@@ -59,14 +59,14 @@ struct JacobianContext {
   std::vector<double>* coo_values = nullptr;
   const std::vector<std::size_t>* coo_cell_offsets = nullptr;
 
-  // Multi-grid support (§III-H): this context's FE space is one grid of a
-  // multi-grid operator. Its cells' integration points start at ip_offset in
-  // the concatenated IP arrays; only grid_species have dofs on this grid
-  // (others contribute to the inner integral via the IP data but assemble
-  // nothing here); species dof blocks start at species_offsets[s].
+  // The grid this context assembles (§III-H). Its cells' integration points
+  // start at ip_offset in the packed arrays; only grid_species have dofs on
+  // it (the others enter the inner integral through the IP data but
+  // assemble nothing here); species s's dof block starts at
+  // species_offsets[s]. init() sets up the only grid of all species.
   std::size_t ip_offset = 0;
-  const std::vector<int>* grid_species = nullptr;            // nullptr: all species
-  const std::vector<std::size_t>* species_offsets = nullptr; // nullptr: s * n_free()
+  std::vector<int> grid_species;
+  std::vector<std::size_t> species_offsets;
 
   // Coefficient tables: q^2, q^2 m0/m, q^2 (m0/m)^2 per species.
   std::vector<double> q2, q2_over_m, q2_over_m2;
@@ -79,20 +79,10 @@ struct JacobianContext {
   void init(const fem::FESpace& f, const SpeciesSet& s, const IPData& d);
 
   std::size_t n_free() const { return fes->n_dofs(); }
-  std::size_t block_offset(int s) const {
-    return species_offsets ? (*species_offsets)[static_cast<std::size_t>(s)]
-                           : static_cast<std::size_t>(s) * n_free();
-  }
-  /// Species whose dofs live on this context's grid.
-  bool species_on_grid(int s) const;
 };
 
-/// Sparsity of the full multi-species Jacobian: S independent diagonal blocks
-/// with the FE space's element-coupling pattern (I_S (x) A_1, §III).
-la::SparsityPattern landau_jacobian_sparsity(const fem::FESpace& fes, int n_species);
-
-/// Add the collision matrix C into J (J must carry the block sparsity, the
-/// same pattern in every species block).
+/// Add the collision matrix C of a one-grid operator into J (J must carry
+/// the block sparsity, the same pattern in every species block).
 void assemble_landau_jacobian(Backend backend, exec::ThreadPool& pool,
                               const JacobianContext& ctx, la::CsrMatrix& j,
                               exec::KernelCounters* counters = nullptr);

@@ -1,8 +1,8 @@
 #pragma once
 // Abstract interface between collision operators and the implicit time
 // integrator: everything the quasi-Newton backward-Euler advance needs.
-// Implemented by the single-grid LandauOperator and the multi-grid
-// MultiGridLandauOperator (§III-H).
+// Implemented by LandauOperator (on one grid or several, §III-H) and by
+// decorators that forward to it.
 
 #include "exec/counters.h"
 #include "exec/thread_pool.h"

@@ -21,6 +21,20 @@ fem::FESpace make_space(mesh::Forest& forest_out) {
   return fem::FESpace(forest_out, 3);
 }
 
+/// Pack one grid holding every species, state s at its own dof block.
+void pack_one_grid(const fem::FESpace& fes, const std::vector<la::Vec>& states, IPData* ip) {
+  std::vector<int> species;
+  std::vector<std::size_t> offsets;
+  std::vector<double> state;
+  for (const la::Vec& v : states) {
+    species.push_back(static_cast<int>(species.size()));
+    offsets.push_back(state.size());
+    state.insert(state.end(), v.begin(), v.end());
+  }
+  ip->resize(static_cast<int>(states.size()), fes.n_ips());
+  pack_ip_data(fes, 0, species, offsets, state, ip);
+}
+
 } // namespace
 
 TEST(IPData, PackLayoutAndSizes) {
@@ -30,7 +44,7 @@ TEST(IPData, PackLayoutAndSizes) {
   la::Vec f2 = fes.interpolate([](double r, double z) { return r - z; });
   std::vector<la::Vec> states = {f1, f2};
   IPData ip;
-  pack_ip_data(fes, states, &ip);
+  pack_one_grid(fes, states, &ip);
   EXPECT_EQ(ip.n, fes.n_ips());
   EXPECT_EQ(ip.n_species, 2);
   EXPECT_EQ(ip.f.size(), 2 * ip.n);
@@ -44,7 +58,7 @@ TEST(IPData, WeightsIncludeCylindricalFactor) {
   la::Vec f = fes.interpolate([](double, double) { return 1.0; });
   std::vector<la::Vec> states = {f};
   IPData ip;
-  pack_ip_data(fes, states, &ip);
+  pack_one_grid(fes, states, &ip);
   double sum = 0;
   for (std::size_t j = 0; j < ip.n; ++j) sum += ip.w[j];
   // \int_0^4 r dr * \int_{-4}^{4} dz = 8 * 8 = 64.
@@ -58,7 +72,7 @@ TEST(IPData, ValuesAndGradientsMatchFunction) {
   la::Vec f = fes.interpolate(fn);
   std::vector<la::Vec> states = {f};
   IPData ip;
-  pack_ip_data(fes, states, &ip);
+  pack_one_grid(fes, states, &ip);
   for (std::size_t j = 0; j < ip.n; ++j) {
     EXPECT_NEAR(ip.f_at(0, j), fn(ip.r[j], ip.z[j]), 1e-10);
     EXPECT_NEAR(ip.dfr_at(0, j), 2 * ip.r[j] - 0.5 * ip.z[j], 1e-9);
@@ -73,7 +87,7 @@ TEST(IPData, SpeciesMajorAddressing) {
   la::Vec b = fes.interpolate([](double, double) { return 7.0; });
   std::vector<la::Vec> states = {a, b};
   IPData ip;
-  pack_ip_data(fes, states, &ip);
+  pack_one_grid(fes, states, &ip);
   for (std::size_t j = 0; j < ip.n; j += 7) {
     EXPECT_NEAR(ip.f_at(0, j), 3.0, 1e-12);
     EXPECT_NEAR(ip.f_at(1, j), 7.0, 1e-12);
@@ -85,5 +99,5 @@ TEST(IPData, MismatchedStateSizeThrows) {
   auto fes = make_space(forest);
   std::vector<la::Vec> states = {la::Vec(3)};
   IPData ip;
-  EXPECT_THROW(pack_ip_data(fes, states, &ip), landau::Error);
+  EXPECT_THROW(pack_one_grid(fes, states, &ip), landau::Error);
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/kernel_math.h"
-#include "core/multigrid.h"
 #include "core/operator.h"
 #include "fem/tabulation.h"
 #include "util/special_math.h"
@@ -29,6 +28,14 @@ LandauOptions small_opts(Backend backend = Backend::Cpu) {
   o.backend = backend;
   o.n_workers = 2;
   return o;
+}
+
+/// Electrons plus a moderately heavy ion: two thermal-speed clusters, so two
+/// grids under the paper's clustering ratio of 2 (as in test_multigrid.cpp).
+SpeciesSet two_cluster_species() {
+  return SpeciesSet(
+      {{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
+       {.name = "i", .mass = 36.0, .charge = 1.0, .density = 1.0, .temperature = 1.0}});
 }
 
 /// A clearly non-equilibrium two-bump state for one species.
@@ -145,12 +152,10 @@ TEST(InnerIntegral, PairLaunchMatchesRowOrderSum) {
 TEST(InnerIntegral, PairLaunchMatchesRowOrderSumOnTwoGrids) {
   // The multi-grid operator runs one pair launch over the concatenated
   // points of both grids.
-  SpeciesSet sp({{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
-                 {.name = "i", .mass = 36.0, .charge = 1.0, .density = 1.0, .temperature = 1.0}});
   LandauOptions o = small_opts(Backend::CudaSim);
   o.order = 3;
   o.cells_per_thermal = 0.8;
-  MultiGridLandauOperator op(sp, o);
+  LandauOperator op(two_cluster_species(), o, 2.0);
   ASSERT_EQ(op.n_grids(), 2);
   op.pack(op.maxwellian_state());
   JacobianContext ctx;
@@ -160,31 +165,36 @@ TEST(InnerIntegral, PairLaunchMatchesRowOrderSumOnTwoGrids) {
 }
 
 TEST(Kernels, AllBackendsProduceTheSameJacobian) {
+  // One grid shared by e and D, and two grids holding e and i.
   auto species = SpeciesSet::electron_deuterium();
   // Reduce the mass ratio so the shared grid stays small for this test.
   species[1].mass = 25.0;
-  LandauOperator op(species, small_opts());
-  la::Vec f = op.maxwellian_state();
-  op.pack(f);
+  LandauOperator one_grid(species, small_opts());
+  LandauOperator two_grids(two_cluster_species(), small_opts(), 2.0);
+  ASSERT_EQ(two_grids.n_grids(), 2);
+  for (LandauOperator* op : {&one_grid, &two_grids}) {
+    SCOPED_TRACE(std::to_string(op->n_grids()) + " grid(s)");
+    la::Vec f = op->maxwellian_state();
+    op->pack(f);
 
-  la::CsrMatrix j_cpu = op.new_matrix();
-  la::CsrMatrix j_cuda = op.new_matrix();
-  la::CsrMatrix j_kokkos = op.new_matrix();
+    la::CsrMatrix j_cpu = op->new_matrix();
+    la::CsrMatrix j_cuda = op->new_matrix();
+    la::CsrMatrix j_kokkos = op->new_matrix();
 
-  exec::ThreadPool pool(2);
-  JacobianContext ctx;
-  ctx.init(op.space(), op.species(), op.ip_data());
-  assemble_landau_jacobian(Backend::Cpu, pool, ctx, j_cpu);
-  assemble_landau_jacobian(Backend::CudaSim, pool, ctx, j_cuda);
-  assemble_landau_jacobian(Backend::KokkosSim, pool, ctx, j_kokkos);
+    exec::ThreadPool pool(2);
+    std::vector<double> g;
+    assemble_landau_jacobian(Backend::Cpu, pool, op->contexts(), g, j_cpu);
+    assemble_landau_jacobian(Backend::CudaSim, pool, op->contexts(), g, j_cuda);
+    assemble_landau_jacobian(Backend::KokkosSim, pool, op->contexts(), g, j_kokkos);
 
-  double scale = 0.0;
-  for (std::size_t k = 0; k < j_cpu.nnz(); ++k)
-    scale = std::max(scale, std::abs(j_cpu.values()[k]));
-  ASSERT_GT(scale, 0.0);
-  for (std::size_t k = 0; k < j_cpu.nnz(); ++k) {
-    EXPECT_NEAR(j_cuda.values()[k], j_cpu.values()[k], 1e-11 * scale);
-    EXPECT_NEAR(j_kokkos.values()[k], j_cpu.values()[k], 1e-11 * scale);
+    double scale = 0.0;
+    for (std::size_t k = 0; k < j_cpu.nnz(); ++k)
+      scale = std::max(scale, std::abs(j_cpu.values()[k]));
+    ASSERT_GT(scale, 0.0);
+    for (std::size_t k = 0; k < j_cpu.nnz(); ++k) {
+      EXPECT_NEAR(j_cuda.values()[k], j_cpu.values()[k], 1e-11 * scale);
+      EXPECT_NEAR(j_kokkos.values()[k], j_cpu.values()[k], 1e-11 * scale);
+    }
   }
 }
 
@@ -271,19 +281,25 @@ TEST(Kernels, CountersReportComputeBoundJacobian) {
 }
 
 TEST(Kernels, MassKernelMatchesHostMassMatrix) {
+  // One grid shared by e and D, and two grids holding e and i.
   auto species = SpeciesSet::electron_deuterium();
   species[1].mass = 25.0;
-  LandauOperator op(species, small_opts(Backend::CudaSim));
-  la::Vec f = op.maxwellian_state();
-  op.pack(f);
-  la::CsrMatrix m_kernel = op.new_matrix();
-  op.add_mass_kernel(m_kernel, 1.0);
-  const auto& m_host = op.mass();
-  double scale = 0.0;
-  for (std::size_t k = 0; k < m_host.nnz(); ++k)
-    scale = std::max(scale, std::abs(m_host.values()[k]));
-  for (std::size_t k = 0; k < m_host.nnz(); ++k)
-    EXPECT_NEAR(m_kernel.values()[k], m_host.values()[k], 1e-12 * scale);
+  LandauOperator one_grid(species, small_opts(Backend::CudaSim));
+  LandauOperator two_grids(two_cluster_species(), small_opts(Backend::CudaSim), 2.0);
+  ASSERT_EQ(two_grids.n_grids(), 2);
+  for (LandauOperator* op : {&one_grid, &two_grids}) {
+    SCOPED_TRACE(std::to_string(op->n_grids()) + " grid(s)");
+    la::Vec f = op->maxwellian_state();
+    op->pack(f);
+    la::CsrMatrix m_kernel = op->new_matrix();
+    op->add_mass_kernel(m_kernel, 1.0);
+    const auto& m_host = op->mass();
+    double scale = 0.0;
+    for (std::size_t k = 0; k < m_host.nnz(); ++k)
+      scale = std::max(scale, std::abs(m_host.values()[k]));
+    for (std::size_t k = 0; k < m_host.nnz(); ++k)
+      EXPECT_NEAR(m_kernel.values()[k], m_host.values()[k], 1e-12 * scale);
+  }
 }
 
 TEST(Kernels, CooAssemblyMatchesTraditionalPath) {

@@ -1,4 +1,4 @@
-// Multi-grid operator tests (§III-H): clustering, cross-grid collision
+// Multi-grid Landau operator tests (§III-H): clustering, cross-grid collision
 // coupling, exact conservation across grids, and the cost trade-off of
 // Table I realized by the actual operator.
 
@@ -6,13 +6,16 @@
 
 #include <cmath>
 
-#include "core/multigrid.h"
+#include "core/operator.h"
 #include "solver/implicit.h"
 #include "util/special_math.h"
 
 using namespace landau;
 
 namespace {
+
+/// The paper's clustering rule: species within 2x thermal speed share a grid.
+constexpr double kClusterRatio = 2.0;
 
 LandauOptions mg_opts() {
   LandauOptions o;
@@ -36,7 +39,7 @@ SpeciesSet two_cluster_species() {
 } // namespace
 
 TEST(MultiGrid, ClustersByThermalSpeed) {
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), kClusterRatio);
   EXPECT_EQ(op.n_grids(), 2);
   EXPECT_NE(op.grid_of_species(0), op.grid_of_species(1));
   // The ion grid is scaled down by the thermal-speed ratio (6x here).
@@ -49,14 +52,14 @@ TEST(MultiGrid, SimilarSpeciesShareAGrid) {
   SpeciesSet sp({{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
                  {.name = "e2", .mass = 1.5, .charge = -1.0, .density = 0.5, .temperature = 1.0},
                  {.name = "i", .mass = 100.0, .charge = 2.0, .density = 0.75, .temperature = 1.0}});
-  MultiGridLandauOperator op(sp, mg_opts());
+  LandauOperator op(sp, mg_opts(), kClusterRatio);
   EXPECT_EQ(op.n_grids(), 2);
   EXPECT_EQ(op.grid_of_species(0), op.grid_of_species(1)); // within 2x
   EXPECT_NE(op.grid_of_species(0), op.grid_of_species(2));
 }
 
 TEST(MultiGrid, MaxwellianMomentsPerGrid) {
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), kClusterRatio);
   la::Vec f = op.maxwellian_state();
   for (int s = 0; s < 2; ++s) {
     const auto m = op.moments(f, s);
@@ -68,13 +71,13 @@ TEST(MultiGrid, MaxwellianMomentsPerGrid) {
 }
 
 TEST(MultiGrid, MatrixIsBlockDiagonalPerSpecies) {
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), kClusterRatio);
   la::Vec f = op.maxwellian_state();
   op.pack(f);
   la::CsrMatrix j = op.new_matrix();
   op.add_collision(j);
   // Row/col of each entry must belong to the same species block.
-  const std::size_t n0 = op.n_dofs(0);
+  const std::size_t n0 = op.n_dofs_per_species(0);
   auto rowptr = j.row_offsets();
   auto colind = j.col_indices();
   for (std::size_t i = 0; i < j.rows(); ++i)
@@ -88,7 +91,7 @@ TEST(MultiGrid, MatrixIsBlockDiagonalPerSpecies) {
 TEST(MultiGrid, CrossGridCollisionsCoupleSpecies) {
   // The e-i friction must act across grids: drifting electrons on grid A
   // must exchange momentum with ions on grid B.
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), kClusterRatio);
   NewtonOptions loose;
   loose.rtol = 1e-8;
   ImplicitIntegrator integrator(op, loose);
@@ -117,7 +120,7 @@ TEST(MultiGrid, ConservationAcrossGrids) {
   // Density per species, total z-momentum and total energy are conserved to
   // solver tolerance even though the species live on different grids — the
   // tensor identities pair (i in A, j in B) with (i in B, j in A).
-  MultiGridLandauOperator op(two_cluster_species(), mg_opts());
+  LandauOperator op(two_cluster_species(), mg_opts(), kClusterRatio);
   NewtonOptions tight;
   tight.rtol = 1e-10;
   ImplicitIntegrator integrator(op, tight);
@@ -150,14 +153,14 @@ TEST(MultiGrid, FewerEquationsThanSharedGrid) {
   auto species = two_cluster_species();
   auto opts = mg_opts();
   opts.max_levels = 6;
-  MultiGridLandauOperator mg(species, opts);
+  LandauOperator mg(species, opts, kClusterRatio);
   LandauOperator shared(species, opts);
   EXPECT_LT(mg.n_total(), shared.n_total());
   // And each species is still resolved: its grid's smallest cell fits vth.
   for (int s = 0; s < 2; ++s) {
     const auto& g = mg.grid(mg.grid_of_species(s));
     double hmin = 1e30;
-    for (const auto& lf : g.forest.leaves()) hmin = std::min(hmin, lf.box.dx());
+    for (const auto& lf : g.forest->leaves()) hmin = std::min(hmin, lf.box.dx());
     EXPECT_LE(hmin, species[s].thermal_speed() / 0.5);
   }
 }

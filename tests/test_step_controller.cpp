@@ -346,6 +346,25 @@ TEST_F(StepControllerTest, ParanoidModeCleanRunUnaffected) {
   EXPECT_EQ(adv.rejections, 0);
 }
 
+TEST_F(StepControllerTest, ParanoidPackRejectsNanOnSecondGrid) {
+  // Electrons and a 36x heavier ion cluster onto two grids; the audit covers
+  // the packed points of both.
+  SpeciesSet species(
+      {{.name = "e", .mass = 1.0, .charge = -1.0, .density = 1.0, .temperature = 1.0},
+       {.name = "i", .mass = 36.0, .charge = 1.0, .density = 1.0, .temperature = 1.0}});
+  LandauOptions opts;
+  opts.order = 2;
+  opts.radius = 4.0;
+  opts.cells_per_thermal = 0.8;
+  opts.max_levels = 3;
+  LandauOperator op(species, opts, 2.0);
+  ASSERT_EQ(op.n_grids(), 2);
+  la::Vec f = op.maxwellian_state();
+  op.block(f, 1)[0] = std::nan("");
+  robustness().paranoid = true;
+  EXPECT_THROW(op.pack(f), landau::Error);
+}
+
 TEST_F(StepControllerTest, PersistedStateRoundTrips) {
   LandauOperator op = make_small_op();
   ImplicitIntegrator integrator(op);
